@@ -8,7 +8,7 @@
      ablate-root      root-domain placement sensitivity (A4)
      ablate-claim     claim-collide vs query-response robustness (A1)
      beacon           dbeacon-style active measurement: NxN delivery matrix
-     trace            inspect a JSONL trace: timelines, latencies, causal chains
+     trace            inspect a flight recording: timelines, latencies, causal chains
      report           summarize profile/telemetry/metrics artifacts of a run
      demo             end-to-end run on the Figure-1 topology
 
@@ -515,13 +515,12 @@ let net_total inet counter =
 (* A randomized long-run stress of the integrated stack: group churn,
    random senders, and occasional link failures/restores, checking the
    exact-delivery invariant continuously. *)
-let run_soak check trace_out steps seed loss sampling =
+let run_soak check steps seed loss sampling =
   Format.printf "# soak: %d randomized steps over a transit-stub internetwork (seed %d)@." steps
     seed;
   let rng = Rng.create seed in
   let topo = Gen.transit_stub ~rng ~backbones:2 ~regionals_per_backbone:3 ~stubs_per_regional:3 in
   let inet = Internet.create ~config:{ Internet.quick_config with Internet.loss } topo in
-  Option.iter (fun f -> Trace.set_sink (Internet.trace inet) (Trace.Jsonl f)) trace_out;
   (match sampling with
   | Some (ts, every) -> Internet.enable_sampling ~every:(Time.seconds every) inet ts
   | None -> ());
@@ -633,15 +632,13 @@ let run_soak check trace_out steps seed loss sampling =
        down (a partitioned member legitimately keeps local state). *)
     ignore (Internet.check_invariants ~quiescent:(!broken = None) inet);
     report_inet_violations "soak" inet
-  end;
-  if trace_out <> None then Trace.close (Internet.trace inet)
+  end
 
 (* ---------------- demo ----------------------------------------------- *)
 
-let run_demo check trace_out loss sampling () =
+let run_demo check loss sampling () =
   let topo = Gen.figure1 () in
   let inet = Internet.create ~config:{ Internet.quick_config with Internet.loss } topo in
-  Option.iter (fun f -> Trace.set_sink (Internet.trace inet) (Trace.Jsonl f)) trace_out;
   (match sampling with
   | Some (ts, every) -> Internet.enable_sampling ~every:(Time.seconds every) inet ts
   | None -> ());
@@ -685,8 +682,7 @@ let run_demo check trace_out loss sampling () =
   if check then begin
     ignore (Internet.check_invariants ~quiescent:true inet);
     report_inet_violations "demo" inet
-  end;
-  if trace_out <> None then Trace.close (Internet.trace inet)
+  end
 
 (* ---------------- beacon ---------------------------------------------- *)
 
@@ -716,7 +712,12 @@ let run_beacon check domains per_domain probes trials seed loss churn matrix_out
      trial(s), loss %.2f%s@."
     domains per_domain probes trials loss
     (if churn then ", churn" else "");
-  let r = Beacon_campaign.run ~jobs p in
+  let r =
+    try Beacon_campaign.run ~jobs p
+    with Invalid_argument reason ->
+      Format.eprintf "beacon: %s@." reason;
+      exit 2
+  in
   List.iter
     (fun (t : Beacon_campaign.trial_result) ->
       Format.printf
@@ -789,8 +790,9 @@ let run_beacon check domains per_domain probes trials seed loss churn matrix_out
 
 (* ---------------- trace ----------------------------------------------- *)
 
-(* Offline viewer for JSONL traces (--metrics' sibling: any Trace.t can
-   be pointed at a Jsonl sink).  Default output: per-chain timelines and
+(* Offline viewer for flight recordings (--record): the protocols'
+   note.* narrative interleaved with the engine and transport records
+   of the same causal chains.  Default output: per-chain timelines and
    end-to-end latency summaries; --id renders one causal chain. *)
 (* Truncated or corrupted artifacts (a run killed mid-write, a partial
    download) should degrade loudly, not crash or silently shrink: every
@@ -799,13 +801,13 @@ let warn_skipped what file n =
   if n > 0 then Format.eprintf "%s %s: %d malformed line(s) skipped@." what file n
 
 let run_trace file id =
-  let entries, bad = Trace.load_jsonl_counted file in
-  warn_skipped "trace" file bad;
+  let records, bad = Recorder.load_jsonl file in
+  warn_skipped "recording" file bad;
   match id with
-  | Some id -> Trace_report.pp_chain_for Format.std_formatter entries ~id
+  | Some id -> Trace_report.pp_chain_for Format.std_formatter records ~id
   | None ->
-      Trace_report.pp_timelines Format.std_formatter entries;
-      Trace_report.pp_latencies Format.std_formatter entries
+      Trace_report.pp_timelines Format.std_formatter records;
+      Trace_report.pp_latencies Format.std_formatter records
 
 (* ---------------- report ---------------------------------------------- *)
 
@@ -814,27 +816,8 @@ let run_trace file id =
    --sample JSONL (sim-time telemetry series), plus a re-tabulation of a
    --metrics=FILE snapshot. *)
 
-(* Text between the first occurrence of [pre] and the next occurrence of
-   [post] after it — enough to re-read the flat one-object-per-line
-   metrics JSON without a JSON dependency. *)
-let extract_between s pre post =
-  let find_from sub from =
-    let n = String.length s and m = String.length sub in
-    let rec go i =
-      if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1)
-    in
-    go from
-  in
-  match find_from pre 0 with
-  | None -> None
-  | Some i -> (
-      let start = i + String.length pre in
-      match find_from post start with
-      | None -> None
-      | Some j -> Some (String.sub s start (j - start)))
-
 let report_profile ppf file fold =
-  let rows, bad = Prof.load_jsonl_counted file in
+  let rows, bad = Prof.load_jsonl file in
   warn_skipped "profile" file bad;
   if rows = [] then Format.fprintf ppf "profile %s: no rows@." file
   else begin
@@ -850,7 +833,7 @@ let report_profile ppf file fold =
       Format.fprintf ppf "folded stacks written to %s@." out
 
 let report_timeseries ppf file series =
-  let points, bad = Timeseries.load_jsonl_counted file in
+  let points, bad = Timeseries.load_jsonl file in
   warn_skipped "telemetry" file bad;
   if points = [] then Format.fprintf ppf "telemetry %s: no rows@." file
   else
@@ -879,39 +862,41 @@ let report_timeseries ppf file series =
               vmin vmax)
           all
 
+(* The --metrics=FILE document holds one instrument object per line
+   (comma-terminated inside the array); the other lines are framing. *)
+let instrument_of_line line =
+  let line = String.trim line in
+  let line =
+    if String.ends_with ~suffix:"," line then String.sub line 0 (String.length line - 1) else line
+  in
+  Json_line.decode
+    (fun o ->
+      let open Json_line in
+      let kind = str o "kind" in
+      let detail =
+        match (kind, field o "value") with
+        | "histogram", _ -> Printf.sprintf "%d observations" (int o "count")
+        | _, Some (Num v) when Float.is_integer v && Float.abs v < 1e15 -> Printf.sprintf "%.0f" v
+        | _, Some (Num v) -> Json_line.float v
+        | _, Some (Str v) -> v
+        | _ -> "null"
+      in
+      (str o "name", kind, detail))
+    line
+
 let report_metrics ppf file =
-  let ic = open_in file in
-  let n = ref 0 in
+  let instruments, _ = Json_line.load instrument_of_line file in
   Format.fprintf ppf "--- metrics: %s ---@." file;
-  (try
-     while true do
-       let line = input_line ic in
-       match extract_between line "\"name\": \"" "\"" with
-       | None -> ()
-       | Some name ->
-           incr n;
-           let kind = Option.value ~default:"?" (extract_between line "\"kind\": \"" "\"") in
-           let detail =
-             match kind with
-             | "counter" | "gauge" ->
-                 Option.value ~default:"" (extract_between line "\"value\": " "}")
-             | "histogram" -> (
-                 match extract_between line "\"count\": " "," with
-                 | Some c -> c ^ " observations"
-                 | None -> "")
-             | _ -> ""
-           in
-           Format.fprintf ppf "%-36s %-10s %s@." name kind detail
-     done
-   with End_of_file -> ());
-  close_in ic;
-  Format.fprintf ppf "%d instrument(s)@." !n
+  List.iter
+    (fun (name, kind, detail) -> Format.fprintf ppf "%-36s %-10s %s@." name kind detail)
+    instruments;
+  Format.fprintf ppf "%d instrument(s)@." (List.length instruments)
 
 (* The [beacon --matrix-out] view: measurement timeline from the meta
    line, the aggregate matrix summary, and the dbeacon "who can't hear
    whom" worst-pairs table. *)
 let report_matrix ppf file =
-  let meta, cells, bad = Beacon_matrix.load_jsonl_counted file in
+  let meta, cells, bad = Beacon_matrix.load_jsonl file in
   warn_skipped "matrix" file bad;
   if cells = [] then Format.fprintf ppf "matrix %s: no cells@." file
   else begin
@@ -954,6 +939,7 @@ let report_matrix ppf file =
 let pp_record ppf (r : Recorder.record) =
   Format.fprintf ppf "#%-6d %14.3f  %-24s %s" r.Recorder.seq r.Recorder.r_time r.Recorder.r_label
     r.Recorder.r_subject;
+  if r.Recorder.r_detail <> "" then Format.fprintf ppf " (%s)" r.Recorder.r_detail;
   match r.Recorder.r_trace_id with
   | Some id ->
       Format.fprintf ppf "  [%s%s]" id
@@ -963,17 +949,6 @@ let pp_record ppf (r : Recorder.record) =
 (* Semantic equality: everything but the seq. *)
 let same_record (a : Recorder.record) (b : Recorder.record) =
   { a with Recorder.seq = 0 } = { b with Recorder.seq = 0 }
-
-let rec_to_entry (r : Recorder.record) =
-  {
-    Trace.time = r.Recorder.r_time;
-    actor = r.Recorder.r_subject;
-    tag = r.Recorder.r_label;
-    detail = "";
-    trace_id = r.Recorder.r_trace_id;
-    span = r.Recorder.r_span;
-    parent = r.Recorder.r_parent;
-  }
 
 (* The divergent record itself may carry no span (engine dispatch
    records do not); anchor the chain on the nearest record that does —
@@ -996,7 +971,7 @@ let pp_chain_near ppf name recs i =
       else
         Format.fprintf ppf "--- causal chain, %s (anchored on nearest spanned record, %d) ---@."
           name k;
-      Trace_report.pp_chain_for ppf (List.map rec_to_entry (Array.to_list recs)) ~id
+      Trace_report.pp_chain_for ppf (Array.to_list recs) ~id
 
 let run_diff ppf a b =
   let load file =
@@ -1196,15 +1171,6 @@ let jobs_arg =
            runtime domains.  Output is byte-identical at any value; 0 picks the machine's \
            recommended domain count.")
 
-let trace_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Stream the run's trace as JSON lines to $(docv); inspect it afterwards with the \
-           $(b,trace) subcommand.")
-
 let check_arg =
   Arg.(
     value & flag
@@ -1369,19 +1335,19 @@ let soak_cmd =
     (Cmd.info "soak"
        ~doc:"Randomized churn + failure soak of the integrated stack with invariant checking.")
     Term.(
-      const (fun obs jobs check tr steps seed loss ->
+      const (fun obs jobs check steps seed loss ->
           Par.set_jobs jobs;
-          with_obs obs (run_soak check tr steps seed loss))
-      $ obs_term $ jobs_arg $ check_arg $ trace_out_arg $ steps $ seed_arg $ loss_arg)
+          with_obs obs (run_soak check steps seed loss))
+      $ obs_term $ jobs_arg $ check_arg $ steps $ seed_arg $ loss_arg)
 
 let demo_cmd =
   Cmd.v
     (Cmd.info "demo" ~doc:"End-to-end MASC+BGP+BGMP run on the Figure-1 topology.")
     Term.(
-      const (fun obs jobs check tr loss () ->
+      const (fun obs jobs check loss () ->
           Par.set_jobs jobs;
-          with_obs obs (fun sampling -> run_demo check tr loss sampling ()))
-      $ obs_term $ jobs_arg $ check_arg $ trace_out_arg $ loss_arg $ const ())
+          with_obs obs (fun sampling -> run_demo check loss sampling ()))
+      $ obs_term $ jobs_arg $ check_arg $ loss_arg $ const ())
 
 let beacon_cmd =
   let domains =
@@ -1428,7 +1394,8 @@ let trace_cmd =
     Arg.(
       required
       & pos 0 (some file) None
-      & info [] ~docv:"TRACE.jsonl" ~doc:"JSONL trace file (from a Jsonl trace sink).")
+      & info [] ~docv:"RECORDING.jsonl"
+          ~doc:"Flight recording (written by any subcommand's $(b,--record)).")
   in
   let id =
     Arg.(
@@ -1442,8 +1409,9 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:
-         "Inspect a JSONL trace: per-chain timelines, end-to-end claim/join latency summaries, \
-          and causal chains for a given trace id.")
+         "Inspect a flight recording: per-chain timelines (narrative note records interleaved \
+          with the messages of the same chain), end-to-end claim/join latency summaries, and \
+          causal chains for a given trace id.")
     Term.(
       const (fun obs file id -> with_obs obs (fun _ -> run_trace file id))
       $ obs_basic_term $ file $ id)
@@ -1479,8 +1447,8 @@ let explore_cmd =
       & info [ "repro-dir" ] ~docv:"DIR"
           ~doc:
             "Re-run the smallest shrunk counterexamples sequentially with the flight recorder \
-             on, writing a replayable recording (compare with $(b,report --diff)) and a trace \
-             dump (inspect with $(b,trace)) per counterexample into $(docv).")
+             on, writing a replayable recording per counterexample into $(docv) (compare with \
+             $(b,report --diff), inspect with $(b,trace)).")
   in
   Cmd.v
     (Cmd.info "explore"
@@ -1550,8 +1518,8 @@ let report_cmd =
           ~doc:
             "Triage an explorer violation ledger (written by $(b,explore)): bucket outcomes by \
              verdict and by violated invariant, rank counterexamples by minimality, and print \
-             the blamed causal chain out of each top counterexample's repro trace.  Exclusive \
-             with the other report views.")
+             the blamed causal chain out of each top counterexample's repro recording.  \
+             Exclusive with the other report views.")
   in
   let diff =
     Arg.(

@@ -9,7 +9,9 @@
 let () =
   let engine = Engine.create () in
   let rng = Rng.create 7 in
-  let trace = Trace.create () in
+  (* Flight-record the run; MASC narrates claims and collisions as
+     note.* records. *)
+  Recorder.enable ~ring:65536 ();
   let config =
     {
       Masc_node.default_config with
@@ -21,7 +23,7 @@ let () =
   (* Two backbone (top-level) domains 0 and 1, each with two customers. *)
   let parent_of = function 0 | 1 -> None | 2 | 3 -> Some 0 | _ -> Some 1 in
   let net =
-    Masc_network.create ~engine ~rng ~config ~trace ~parent_of ~ids:[ 0; 1; 2; 3; 4; 5 ] ()
+    Masc_network.create ~engine ~rng ~config ~parent_of ~ids:[ 0; 1; 2; 3; 4; 5 ] ()
   in
   Masc_network.start net;
 
@@ -70,13 +72,15 @@ let () =
   show_claims 1;
   Format.printf "  collisions suffered in total: %d@." (Masc_network.total_collisions net);
 
-  Format.printf "@.=== Collision-related trace events ===@.";
+  Recorder.disable ();
+  Format.printf "@.=== Collision-related notes ===@.";
+  let recorded = Recorder.recent () in
   List.iter
-    (fun tag ->
+    (fun label ->
       List.iter
-        (fun e -> Format.printf "  %a@." Trace.pp_entry e)
-        (Trace.find trace ~tag))
-    [ "collision-sent"; "collision-lost"; "collision-yield" ];
+        (fun e -> if e.Recorder.r_label = label then Format.printf "  %a@." Trace_report.pp_record e)
+        recorded)
+    [ "note.collision-sent"; "note.collision-lost"; "note.collision-yield" ];
 
   (* Verify the invariant the waiting period protects: after everything
      settles, no two domains hold overlapping space. *)

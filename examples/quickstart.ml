@@ -15,6 +15,9 @@ let () =
   (* Bring the stack up with fast protocol timers (minutes, not the
      deployment-scale 48 h collision wait). *)
   let inet = Internet.create ~config:Internet.quick_config topo in
+  (* Flight-record the run: the protocols narrate what they do as
+     note.* records, interleaved with the messages that carry it. *)
+  Recorder.enable ~ring:4096 ();
   Internet.start inet;
   Internet.run_for inet (Time.hours 2.0);
 
@@ -78,8 +81,11 @@ let () =
   Format.printf "Duplicates: %d@."
     (Bgmp_fabric.duplicate_deliveries (Internet.fabric inet));
 
-  (* 5. A short excerpt of the MASC protocol trace. *)
-  Format.printf "@.MASC activity (first 12 events):@.";
+  (* 5. A short excerpt of the protocols' narrative. *)
+  Recorder.disable ();
+  Format.printf "@.Protocol activity (first 12 notes):@.";
   List.iteri
-    (fun i e -> if i < 12 then Format.printf "  %a@." Trace.pp_entry e)
-    (Trace.entries (Internet.trace inet))
+    (fun i e -> if i < 12 then Format.printf "  %a@." Trace_report.pp_record e)
+    (List.filter
+       (fun r -> String.starts_with ~prefix:"note." r.Recorder.r_label)
+       (Recorder.recent ()))

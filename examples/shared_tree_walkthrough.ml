@@ -24,8 +24,8 @@ let () =
       | Some nh -> Bgmp_fabric.Via nh
       | None -> Bgmp_fabric.Unroutable
   in
-  let trace = Trace.create () in
-  let fabric = Bgmp_fabric.create ~engine ~topo ~trace ~route_to_root () in
+  Recorder.enable ~ring:4096 ();
+  let fabric = Bgmp_fabric.create ~engine ~topo ~route_to_root () in
 
   Format.printf "=== Figure 3(a): building the bidirectional shared tree ===@.";
   Format.printf "Group %a is rooted at domain B (its address falls in B's MASC range).@.@."
@@ -56,16 +56,18 @@ let () =
     (Topo.domains topo);
 
   (* The fabric stamped every join with a causal span; render the
-     group's chain the way the [trace] subcommand would.  With static
+     group's chain from the flight recording the way the [trace]
+     subcommand would: join notes interleaved with the join messages.  With static
      group routes there is no claim to descend from, so the chain roots
      at the group itself; in the integrated stack the same chain starts
      at the MASC claim that placed the prefix. *)
   Format.printf "@.Causal chain of the tree construction (trace subcommand rendering):@.";
-  let entries = Trace.entries trace in
+  Recorder.disable ();
+  let records = Recorder.recent () in
   List.iter
-    (fun id -> Trace_report.pp_chain_for Format.std_formatter entries ~id)
-    (Trace_report.chain_ids entries);
-  Format.printf "@.Join latencies:@.%a" Trace_report.pp_latencies entries;
+    (fun id -> Trace_report.pp_chain_for Format.std_formatter records ~id)
+    (Trace_report.chain_ids records);
+  Format.printf "@.Join latencies:@.%a" Trace_report.pp_latencies records;
 
   (* Data from a host in E (no members there): forwarded toward the root
      until it meets the tree, then distributed bidirectionally. *)

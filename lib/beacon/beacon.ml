@@ -19,7 +19,6 @@ type pending = {
   p_group : Ipv4.t;
   p_seq : int;
   p_sent_at : Time.t;
-  p_span : Span.t option;
   mutable p_waiting : Host_ref.t list;  (** expected receivers not yet heard from *)
 }
 
@@ -28,7 +27,6 @@ type t = {
   topo : Topo.t;
   fabric : Bgmp_fabric.t;
   cfg : config;
-  trace : Trace.t option;
   matrix : Beacon_matrix.t;
   listeners : (Ipv4.t, Host_ref.t list ref) Hashtbl.t;  (** registration order *)
   mutable sources : (Ipv4.t * Host_ref.t) list;  (** reverse registration order *)
@@ -44,12 +42,12 @@ type t = {
   m_outstanding : Metrics.gauge;
 }
 
-let btrace t ?span tag fmt =
-  Format.kasprintf
-    (fun detail ->
-      match t.trace with
-      | Some tr -> Trace.record tr ~time:(Engine.now t.engine) ~actor:"beacon" ~tag ?span detail
-      | None -> ())
+(* A narrative [note.*] record on the chain of [group]'s traffic from
+   [src]; callers guard with [Recorder.is_enabled], so nothing is
+   looked up or formatted while recording is off. *)
+let note t ~src ~group label fmt =
+  Recorder.recordf ~time:(Engine.now t.engine) ~label ~subject:"beacon"
+    ~trace_id:(Bgmp_fabric.group_trace_id t.fabric src.Host_ref.host_domain group)
     fmt
 
 let spf_dist t ~from ~to_ =
@@ -80,14 +78,13 @@ let on_delivery t ~group:_ ~source:_ ~payload ~host ~hops =
             (spf_dist t ~from:p.p_src.Host_ref.host_domain ~to_:host.Host_ref.host_domain)
       end
 
-let create ~engine ~topo ~fabric ?(config = default_config) ?trace () =
+let create ~engine ~topo ~fabric ?(config = default_config) () =
   let t =
     {
       engine;
       topo;
       fabric;
       cfg = config;
-      trace;
       matrix = Beacon_matrix.create ();
       listeners = Hashtbl.create 16;
       sources = [];
@@ -129,23 +126,20 @@ let harvest t payload =
       if missing > 0 then begin
         t.n_lost <- t.n_lost + missing;
         Metrics.add t.m_lost missing;
-        (* Lost pairs stay as (sent > got) cells; the trace names them. *)
-        List.iter
-          (fun dst ->
-            btrace t ?span:p.p_span "probe-lost" "%a seq %d payload %d never reached %a"
-              Ipv4.pp p.p_group p.p_seq payload Host_ref.pp dst)
-          p.p_waiting
+        (* Lost pairs stay as (sent > got) cells; the recording names them. *)
+        if Recorder.is_enabled () then
+          List.iter
+            (fun dst ->
+              note t ~src:p.p_src ~group:p.p_group "note.probe-lost"
+                "%a seq %d payload %d never reached %a" Ipv4.pp p.p_group p.p_seq payload
+                Host_ref.pp dst)
+            p.p_waiting
       end;
       Hashtbl.remove t.pending payload;
       Metrics.set t.m_outstanding (float_of_int (Hashtbl.length t.pending));
       Bgmp_fabric.forget_payload t.fabric ~payload
 
 let fire_probe t ~group ~host ~seq =
-  let span =
-    match t.trace with
-    | Some _ -> Some (Bgmp_fabric.group_span t.fabric host.Host_ref.host_domain group)
-    | None -> None
-  in
   let expected =
     match Hashtbl.find_opt t.listeners group with Some l -> !l | None -> []
   in
@@ -156,7 +150,6 @@ let fire_probe t ~group ~host ~seq =
       p_group = group;
       p_seq = seq;
       p_sent_at = Engine.now t.engine;
-      p_span = span;
       p_waiting = expected;
     }
   in
@@ -165,9 +158,10 @@ let fire_probe t ~group ~host ~seq =
   t.n_sent <- t.n_sent + 1;
   Metrics.incr t.m_sent;
   Metrics.set t.m_outstanding (float_of_int (Hashtbl.length t.pending));
-  btrace t ?span "probe" "%a seq %d payload %d from %a (%d receivers)" Ipv4.pp group seq
-    payload Host_ref.pp host (List.length expected);
-  let sent = Bgmp_fabric.send ?span t.fabric ~source:host ~group in
+  if Recorder.is_enabled () then
+    note t ~src:host ~group "note.probe" "%a seq %d payload %d from %a (%d receivers)" Ipv4.pp
+      group seq payload Host_ref.pp host (List.length expected);
+  let sent = Bgmp_fabric.send t.fabric ~source:host ~group in
   assert (sent = payload);
   ignore
     (Engine.schedule_after ~label:"beacon.harvest" t.engine t.cfg.harvest_after (fun () ->

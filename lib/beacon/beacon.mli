@@ -13,11 +13,11 @@
 
     Scheduling is deterministic: sources probe in registration order,
     staggered by [stagger], each sending [probes_per_source] probes
-    [period] apart.  With a trace attached, each probe send records a
-    ["probe"] entry and travels under a span descending from the
-    group's covering join/G-RIB span ({!Bgmp_fabric.group_span}), so a
-    lost probe's [net-drop] entry — and the ["probe-lost"] harvest
-    entry — are attributable to the tree that should have carried it. *)
+    [period] apart.  While the flight recorder is on, each probe send
+    appends a [note.probe] record and each receiver a harvest writes
+    off a [note.probe-lost] record, both on the group's causal chain
+    ({!Bgmp_fabric.group_trace_id}), so a loss is attributable to the
+    tree that should have carried the probe. *)
 
 type config = {
   period : Time.t;  (** inter-probe interval per source *)
@@ -38,7 +38,6 @@ val create :
   topo:Topo.t ->
   fabric:Bgmp_fabric.t ->
   ?config:config ->
-  ?trace:Trace.t ->
   unit ->
   t
 (** Installs the fleet as the fabric's delivery hook (replacing any

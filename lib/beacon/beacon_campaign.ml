@@ -179,6 +179,8 @@ let run_trial p ~trial ~seed =
 
 let run ?jobs (p : params) =
   if p.trials < 1 then invalid_arg "Beacon_campaign.run: need at least one trial";
+  if p.probes < 1 then invalid_arg "Beacon_campaign.run: need at least one probe per source";
+  if p.per_domain < 1 then invalid_arg "Beacon_campaign.run: need at least one beacon per domain";
   (match p.telemetry with
   | Some _ when p.trials > 1 ->
       invalid_arg "Beacon_campaign.run: telemetry requires trials = 1"

@@ -61,4 +61,5 @@ type result = {
 }
 
 val run : ?jobs:int -> params -> result
-(** @raise Invalid_argument on telemetry with [trials > 1]. *)
+(** @raise Invalid_argument on [trials], [probes] or [per_domain] below
+    1, or on telemetry with [trials > 1]. *)

@@ -191,103 +191,72 @@ let jf f =
   else Printf.sprintf "%.9g" f
 
 let cell_to_json c =
-  Printf.sprintf
-    "{\"src\": [%d, %d], \"dst\": [%d, %d], \"sent\": %d, \"got\": %d, \"loss\": %s, \
-     \"lat_mean\": %s, \"lat_max\": %s, \"hops_mean\": %s, \"hops_max\": %s, \
-     \"stretch_mean\": %s, \"stretch_max\": %s}"
-    c.c_src.Host_ref.host_domain c.c_src.Host_ref.host_index c.c_dst.Host_ref.host_domain
-    c.c_dst.Host_ref.host_index c.c_sent c.c_got (jf c.c_loss) (jf c.c_lat_mean)
-    (jf c.c_lat_max) (jf c.c_hops_mean) (jf c.c_hops_max) (jf c.c_stretch_mean)
-    (jf c.c_stretch_max)
+  let host h =
+    Json_line.list string_of_int [ h.Host_ref.host_domain; h.Host_ref.host_index ]
+  in
+  Json_line.obj
+    [
+      ("src", host c.c_src);
+      ("dst", host c.c_dst);
+      ("sent", string_of_int c.c_sent);
+      ("got", string_of_int c.c_got);
+      ("loss", jf c.c_loss);
+      ("lat_mean", jf c.c_lat_mean);
+      ("lat_max", jf c.c_lat_max);
+      ("hops_mean", jf c.c_hops_mean);
+      ("hops_max", jf c.c_hops_max);
+      ("stretch_mean", jf c.c_stretch_mean);
+      ("stretch_max", jf c.c_stretch_max);
+    ]
 
 let write_jsonl ?(meta = []) file cs =
   let oc = open_out file in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_string oc
-        (Printf.sprintf "{\"meta\": {%s}}\n"
-           (String.concat ", "
-              (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k (jf v)) meta)));
+      let meta = Json_line.obj (List.map (fun (k, v) -> (k, jf v)) meta) in
+      output_string oc (Json_line.obj [ ("meta", meta) ]);
+      output_char oc '\n';
       List.iter
         (fun c ->
           output_string oc (cell_to_json c);
           output_char oc '\n')
         cs)
 
-(* Hand-rolled field scanning, like the rest of the repo: no JSON dep. *)
-let scan_float line key =
-  let re = Str.regexp ("\"" ^ Str.quote key ^ "\": \\(-?[0-9.eE+-]+\\)") in
-  try
-    ignore (Str.search_forward re line 0);
-    Some (float_of_string (Str.matched_group 1 line))
-  with Not_found | Failure _ -> None
+(* A line is the meta object or one cell; cells need both endpoints,
+   and absent numeric fields read as zero. *)
+type line = Meta of (string * float) list | Cell of cell
 
-let scan_host line key =
-  let re = Str.regexp ("\"" ^ Str.quote key ^ "\": \\[\\([0-9]+\\), \\([0-9]+\\)\\]") in
-  try
-    ignore (Str.search_forward re line 0);
-    Some (Host_ref.make (int_of_string (Str.matched_group 1 line))
-            (int_of_string (Str.matched_group 2 line)))
-  with Not_found | Failure _ -> None
-
-let cell_of_json line =
-  match (scan_host line "src", scan_host line "dst") with
-  | Some src, Some dst ->
-      let f key d = match scan_float line key with Some v -> v | None -> d in
-      Some
-        {
-          c_src = src;
-          c_dst = dst;
-          c_sent = int_of_float (f "sent" 0.0);
-          c_got = int_of_float (f "got" 0.0);
-          c_loss = f "loss" 0.0;
-          c_lat_mean = f "lat_mean" 0.0;
-          c_lat_max = f "lat_max" 0.0;
-          c_hops_mean = f "hops_mean" 0.0;
-          c_hops_max = f "hops_max" 0.0;
-          c_stretch_mean = f "stretch_mean" 0.0;
-          c_stretch_max = f "stretch_max" 0.0;
-        }
-  | _ -> None
-
-let meta_of_json line =
-  let pairs = ref [] in
-  let re = Str.regexp "\"\\([a-zA-Z0-9_.]+\\)\": \\(-?[0-9.eE+-]+\\)" in
-  let pos = ref 0 in
-  (try
-     while true do
-       pos := 1 + Str.search_forward re line !pos;
-       pairs :=
-         (Str.matched_group 1 line, float_of_string (Str.matched_group 2 line)) :: !pairs
-     done
-   with Not_found | Failure _ -> ());
-  List.rev !pairs
-
-let load_jsonl_counted file =
-  let ic = open_in file in
-  let meta = ref [] and cells = ref [] and bad = ref 0 in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      (try
-         while true do
-           let line = input_line ic in
-           if String.trim line <> "" then
-             if
-               try
-                 ignore (Str.search_forward (Str.regexp_string "\"meta\"") line 0);
-                 true
-               with Not_found -> false
-             then meta := meta_of_json line
-             else
-               match cell_of_json line with
-               | Some c -> cells := c :: !cells
-               | None -> incr bad
-         done
-       with End_of_file -> ());
-      (!meta, List.rev !cells, !bad))
+let line_of_json =
+  Json_line.decode (fun o ->
+      let open Json_line in
+      match field o "meta" with
+      | Some (Obj kvs) ->
+          Meta (List.filter_map (function k, Num v -> Some (k, v) | _ -> None) kvs)
+      | Some _ -> raise Bad
+      | None ->
+          let host k =
+            match arr o k with
+            | [ Num d; Num i ] -> Host_ref.make (int_of_float d) (int_of_float i)
+            | _ -> raise Bad
+          in
+          let f k = Option.value ~default:0.0 (optional num o k) in
+          Cell
+            {
+              c_src = host "src";
+              c_dst = host "dst";
+              c_sent = int_of_float (f "sent");
+              c_got = int_of_float (f "got");
+              c_loss = f "loss";
+              c_lat_mean = f "lat_mean";
+              c_lat_max = f "lat_max";
+              c_hops_mean = f "hops_mean";
+              c_hops_max = f "hops_max";
+              c_stretch_mean = f "stretch_mean";
+              c_stretch_max = f "stretch_max";
+            })
 
 let load_jsonl file =
-  let meta, cells, _ = load_jsonl_counted file in
-  (meta, cells)
+  let lines, bad = Json_line.load line_of_json file in
+  let meta = List.fold_left (fun acc l -> match l with Meta m -> m | Cell _ -> acc) [] lines in
+  (meta, List.filter_map (function Cell c -> Some c | Meta _ -> None) lines, bad)

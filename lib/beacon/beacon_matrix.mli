@@ -91,9 +91,6 @@ val pp_cells : Format.formatter -> cell list -> unit
 
 val write_jsonl : ?meta:(string * float) list -> string -> cell list -> unit
 
-val load_jsonl : string -> (string * float) list * cell list
-(** Returns (meta, cells); unparseable lines are skipped. *)
-
-val load_jsonl_counted : string -> (string * float) list * cell list * int
-(** Like {!load_jsonl}, also returning the count of malformed
-    non-blank cell lines skipped. *)
+val load_jsonl : string -> (string * float) list * cell list * int
+(** Returns (meta, cells, malformed): the count of non-blank lines
+    skipped because they did not parse. *)

@@ -13,7 +13,6 @@ type t = {
   net : Net.t;
   cfg : config;
   route_to_root : Domain.id -> Ipv4.t -> root_route;
-  trace : Trace.t option;
   span_of_group : Domain.id -> Ipv4.t -> Span.t option;
       (** causal span of the G-RIB route a domain uses for a group, so
           joins continue the originating claim's chain *)
@@ -25,11 +24,8 @@ type t = {
       (** router i's transport lane to its external peer across the link *)
   toward_tbl : (Domain.id * Domain.id, int) Hashtbl.t;  (** (dom, neighbor) -> router id *)
   ucast_cache : (Domain.id, Spf.paths) Hashtbl.t;  (** BFS from a target domain *)
-  delivered : (int, (Host_ref.t * int) list ref) Hashtbl.t;
+  delivered : (int, (Host_ref.t * int) list ref) Hashtbl.t;  (** newest first *)
   seen : (int * Host_ref.t, unit) Hashtbl.t;
-  payload_spans : (int, Span.t) Hashtbl.t;
-      (** causal span a payload travels under, kept only for payloads
-          sent with one (probes under an attached trace) *)
   mutable on_delivery :
     (group:Ipv4.t -> source:Host_ref.t -> payload:int -> host:Host_ref.t -> hops:int -> unit)
     option;
@@ -47,13 +43,9 @@ type t = {
 
 let peer_of rid = rid lxor 1
 
-let ftrace t actor tag ?span fmt =
-  Format.kasprintf
-    (fun detail ->
-      match t.trace with
-      | Some tr -> Trace.record tr ~time:(Engine.now t.engine) ~actor ~tag ?span detail
-      | None -> ())
-    fmt
+(* A narrative [note.*] record; formats nothing while recording is off. *)
+let note t subject label ?span fmt =
+  Recorder.recordf ~time:(Engine.now t.engine) ~label ~subject ?span fmt
 
 (* The trace id a group's causal chain lives under: the originating
    claim's when a G-RIB route (with span) exists, else the group's own. *)
@@ -159,7 +151,7 @@ let record_delivery t ~group ~source ~payload ~host ~hops =
           Hashtbl.replace t.delivered payload c;
           c
     in
-    cell := !cell @ [ (host, hops) ];
+    cell := (host, hops) :: !cell;
     match t.on_delivery with
     | Some f -> f ~group ~source ~payload ~host ~hops
     | None -> ()
@@ -182,10 +174,7 @@ and exec_action t rid action =
       let span =
         match msg with
         | Bgmp_msg.Join { span; _ } -> span
-        | Bgmp_msg.Data { payload; _ } ->
-            if Hashtbl.length t.payload_spans = 0 then None
-            else Hashtbl.find_opt t.payload_spans payload
-        | Bgmp_msg.Prune _ | Bgmp_msg.Join_sg _ | Bgmp_msg.Prune_sg _ -> None
+        | Bgmp_msg.Data _ | Bgmp_msg.Prune _ | Bgmp_msg.Join_sg _ | Bgmp_msg.Prune_sg _ -> None
       in
       Net.send t.peer_chan.(rid) ?span msg
   | Bgmp_router.Migp_join { group; span } -> (
@@ -193,7 +182,7 @@ and exec_action t rid action =
       match exit_router_for_group t dom group with
       | Some exit when exit <> rid ->
           Engine.note_activity t.engine "bgmp";
-          ftrace t (Bgmp_router.name t.routers.(exit)) "join-hop" ?span "%a via interior"
+          note t (Bgmp_router.name t.routers.(exit)) "note.join-hop" ?span "%a via interior"
             Ipv4.pp group;
           exec_actions t exit
             (Bgmp_router.handle_join t.routers.(exit) ~group ?span ~from:Bgmp_router.Migp_target)
@@ -222,7 +211,7 @@ and dispatch_internal_msg t ~to_ ~from_rid msg =
     match msg with
     | Bgmp_msg.Join { group; span } ->
         Engine.note_activity t.engine "bgmp";
-        ftrace t (Bgmp_router.name router) "join-hop" ?span "%a from %s" Ipv4.pp group
+        note t (Bgmp_router.name router) "note.join-hop" ?span "%a from %s" Ipv4.pp group
           (Bgmp_router.name t.routers.(from_rid));
         Bgmp_router.handle_join router ~group ?span ~from
     | Bgmp_msg.Prune group ->
@@ -251,7 +240,7 @@ and dispatch_peer_msg t ~to_ ~from_rid msg =
     match msg with
     | Bgmp_msg.Join { group; span } ->
         Engine.note_activity t.engine "bgmp";
-        ftrace t (Bgmp_router.name router) "join-hop" ?span "%a from %s" Ipv4.pp group
+        note t (Bgmp_router.name router) "note.join-hop" ?span "%a from %s" Ipv4.pp group
           (Bgmp_router.name t.routers.(from_rid));
         Bgmp_router.handle_join router ~group ?span ~from
     | Bgmp_msg.Prune group ->
@@ -345,8 +334,8 @@ and internal_distribute_impl t ~dom ~entry ~group ~source ~payload ~hops =
 (* ------------------------------------------------------------------ *)
 
 let create ~engine ~topo ?net ?(config = default_config) ?(migp_style = fun _ -> Migp.Dvmrp)
-    ?trace ?(span_of_group = fun _ _ -> None) ~route_to_root () =
-  let net = match net with Some n -> n | None -> Net.create ~engine ?trace () in
+    ?(span_of_group = fun _ _ -> None) ~route_to_root () =
+  let net = match net with Some n -> n | None -> Net.create ~engine () in
   let n = Topo.domain_count topo in
   let links = Topo.links topo in
   let router_count = 2 * List.length links in
@@ -382,7 +371,6 @@ let create ~engine ~topo ?net ?(config = default_config) ?(migp_style = fun _ ->
       net;
       cfg = config;
       route_to_root;
-      trace;
       span_of_group;
       migps;
       routers;
@@ -393,7 +381,6 @@ let create ~engine ~topo ?net ?(config = default_config) ?(migp_style = fun _ ->
       ucast_cache = Hashtbl.create 16;
       delivered = Hashtbl.create 64;
       seen = Hashtbl.create 256;
-      payload_spans = Hashtbl.create 16;
       on_delivery = None;
       dup_count = 0;
       next_payload = 0;
@@ -442,9 +429,9 @@ let create ~engine ~topo ?net ?(config = default_config) ?(migp_style = fun _ ->
                    G-RIB route's causal chain when one is known. *)
                 let span = join_root_span t dom group in
                 Engine.note_activity t.engine "bgmp";
-                ftrace t
-                  (Printf.sprintf "bgmp-d%d" dom)
-                  "join" ~span "%a via %s" Ipv4.pp group (Bgmp_router.name router);
+                if Recorder.is_enabled () then
+                  note t (Printf.sprintf "bgmp-d%d" dom) "note.join" ~span "%a via %s" Ipv4.pp group
+                    (Bgmp_router.name router);
                 exec_actions t exit
                   (Bgmp_router.handle_join router ~group ~span ~from:Bgmp_router.Migp_target)
               end
@@ -492,29 +479,25 @@ let host_leave t ~host ~group =
 
 let next_payload_id t = t.next_payload
 
-let send ?span t ~source ~group =
+let send t ~source ~group =
   let payload = t.next_payload in
   t.next_payload <- t.next_payload + 1;
-  (match span with Some s -> Hashtbl.replace t.payload_spans payload s | None -> ());
   internal_distribute t ~dom:source.Host_ref.host_domain ~entry:None ~group ~source ~payload
     ~hops:0;
   payload
 
 let set_on_delivery t f = t.on_delivery <- f
 
-let group_span t dom group = join_root_span t dom group
-
 let deliveries t ~payload =
   match Hashtbl.find_opt t.delivered payload with
-  | Some cell -> !cell
+  | Some cell -> List.rev !cell
   | None -> []
 
 let forget_payload t ~payload =
   (match Hashtbl.find_opt t.delivered payload with
   | Some cell -> List.iter (fun (h, _) -> Hashtbl.remove t.seen (payload, h)) !cell
   | None -> ());
-  Hashtbl.remove t.delivered payload;
-  Hashtbl.remove t.payload_spans payload
+  Hashtbl.remove t.delivered payload
 
 let duplicate_deliveries t = t.dup_count
 
@@ -559,10 +542,9 @@ let rebuild_group t ~group =
         match exit_router_for_group t dom group with
         | Some exit ->
             let span = join_root_span t dom group in
-            ftrace t
-              (Printf.sprintf "bgmp-d%d" dom)
-              "join" ~span "%a rebuild via %s" Ipv4.pp group
-              (Bgmp_router.name t.routers.(exit));
+            if Recorder.is_enabled () then
+              note t (Printf.sprintf "bgmp-d%d" dom) "note.join" ~span "%a rebuild via %s" Ipv4.pp
+                group (Bgmp_router.name t.routers.(exit));
             exec_actions t exit
               (Bgmp_router.handle_join t.routers.(exit) ~group ~span
                  ~from:Bgmp_router.Migp_target)

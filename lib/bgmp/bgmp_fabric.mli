@@ -38,7 +38,6 @@ val create :
   ?net:Net.t ->
   ?config:config ->
   ?migp_style:(Domain.id -> Migp.style) ->
-  ?trace:Trace.t ->
   ?span_of_group:(Domain.id -> Ipv4.t -> Span.t option) ->
   route_to_root:(Domain.id -> Ipv4.t -> root_route) ->
   unit ->
@@ -49,9 +48,10 @@ val create :
     with BGP and MASC, or a [Net.t] whose config overrides delays or
     injects loss (the old [link_delay_override] lives in [Net.config]
     now).  By default the fabric gets a private [Net.t] on the same
-    engine.  [migp_style] defaults to DVMRP everywhere.  [trace] receives
-    join-chain entries ("join" at the originating domain, "join-hop"
-    per tree hop).  [span_of_group] supplies the causal span of the
+    engine.  [migp_style] defaults to DVMRP everywhere.  While the
+    flight recorder is on, join chains are narrated as [note.join]
+    records (at the originating domain) and [note.join-hop] records
+    (per tree hop).  [span_of_group] supplies the causal span of the
     G-RIB route a domain uses for a group (the integrated stack wires
     it to the speakers' routes), so join chains continue the MASC
     claim's trace id; without it, chains start fresh under
@@ -63,13 +63,10 @@ val host_join : t -> host:Host_ref.t -> group:Ipv4.t -> unit
 
 val host_leave : t -> host:Host_ref.t -> group:Ipv4.t -> unit
 
-val send : ?span:Span.t -> t -> source:Host_ref.t -> group:Ipv4.t -> int
+val send : t -> source:Host_ref.t -> group:Ipv4.t -> int
 (** Send one packet from the host to the group; returns the fresh
     payload id.  Senders need not be members (IP service model, §3).
-    Run the engine to let it propagate.  [?span] is the packet's causal
-    span: every inter-domain copy travels under it, so a transport drop
-    is blamed on the packet's chain in the trace.  Only pass one for
-    traced packets — the span is retained until {!forget_payload}. *)
+    Run the engine to let it propagate. *)
 
 val next_payload_id : t -> int
 (** The payload id the next {!send} will use.  Measurement layers
@@ -96,18 +93,17 @@ val set_on_delivery :
 
 val forget_payload : t -> payload:int -> unit
 (** Drop the fabric's per-payload bookkeeping (delivery list, dedup
-    entries, retained span) for a payload whose accounting is finished.
+    entries) for a payload whose accounting is finished.
     Long soaks call this after harvesting each probe, keeping fabric
     memory bounded by the in-flight window rather than the whole run.
     A straggler copy arriving after the forget would be re-recorded as
     a fresh delivery, so only forget payloads past their maximum path
     delay. *)
 
-val group_span : t -> Domain.id -> Ipv4.t -> Span.t
-(** A fresh span for a packet a host in the domain is about to send to
-    the group: a child of the covering G-RIB route's span when
-    [span_of_group] knows one (so probes join the route's causal
-    chain), else a fresh root under ["group:<addr>"]. *)
+val group_trace_id : t -> Domain.id -> Ipv4.t -> string
+(** The causal chain a group's traffic at the domain belongs to: the
+    covering G-RIB route's trace id when [span_of_group] knows one,
+    else ["group:<addr>"].  Mints no span. *)
 
 val duplicate_deliveries : t -> int
 (** Copies delivered to a host that had already received that payload —

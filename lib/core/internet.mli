@@ -49,8 +49,6 @@ val engine : t -> Engine.t
 
 val topo : t -> Topo.t
 
-val trace : t -> Trace.t
-
 val net : t -> Net.t
 (** The one transport all three protocols send over: MASC claims, BGP
     updates and BGMP joins/prunes/data share its link state, loss
@@ -125,8 +123,9 @@ val root_domain_of : t -> Ipv4.t -> Domain.id option
     - ["grib-nexthop"] (quiescent only) — each domain's upstream tree
       edge agrees with its G-RIB next hop toward the root.
 
-    Violations are appended to the {!trace} as ["violation"] entries
-    carrying the trace id of the causal chain they implicate. *)
+    While the flight recorder is on, each violation found is appended
+    as a [note.violation] record carrying the trace id of the causal
+    chain it implicates. *)
 
 val check_invariants : ?quiescent:bool -> t -> Invariant.violation list
 (** Run the predicates now ([quiescent] defaults to [true]: include the

@@ -46,17 +46,13 @@ type walkthrough = {
   walkthrough_topo : Topo.t;
   fabric : Bgmp_fabric.t;
   walkthrough_group : Ipv4.t;
-  walkthrough_trace : Trace.t;
 }
 
 let figure3 ?migp_style ?(loss = 0.0) () =
   let topo = Gen.figure3 () in
   let engine = Engine.create () in
-  let walkthrough_trace = Trace.create () in
   let net =
-    Net.create ~engine
-      ~config:{ Net.loss_rate = loss; loss_seed = 1998; delay_override = None }
-      ~trace:walkthrough_trace ()
+    Net.create ~engine ~config:{ Net.loss_rate = loss; loss_seed = 1998; delay_override = None } ()
   in
   let b = Option.get (Topo.find_by_name topo "B") in
   let paths = Spf.bfs topo b in
@@ -68,7 +64,7 @@ let figure3 ?migp_style ?(loss = 0.0) () =
       | None -> Bgmp_fabric.Unroutable
   in
   let fabric =
-    Bgmp_fabric.create ~engine ~topo ~net ?migp_style ~trace:walkthrough_trace ~route_to_root ()
+    Bgmp_fabric.create ~engine ~topo ~net ?migp_style ~route_to_root ()
   in
   let group = Ipv4.of_string "224.0.128.1" in
   List.iter
@@ -77,7 +73,7 @@ let figure3 ?migp_style ?(loss = 0.0) () =
       Bgmp_fabric.host_join fabric ~host:(Host_ref.make d 0) ~group)
     [ "B"; "C"; "D"; "F"; "H" ];
   Engine.run_until_idle engine;
-  { engine; walkthrough_topo = topo; fabric; walkthrough_group = group; walkthrough_trace }
+  { engine; walkthrough_topo = topo; fabric; walkthrough_group = group }
 
 let deliveries_by_domain w ~payload =
   List.sort compare

@@ -28,7 +28,6 @@ type walkthrough = {
   walkthrough_topo : Topo.t;
   fabric : Bgmp_fabric.t;
   walkthrough_group : Ipv4.t;
-  walkthrough_trace : Trace.t;  (** join-chain entries from the fabric *)
 }
 
 val figure3 : ?migp_style:(Domain.id -> Migp.style) -> ?loss:float -> unit -> walkthrough

@@ -72,7 +72,6 @@ let run_trial ~arena ~trial ~seed schedule =
       min_faults = None;
       shrink_steps = None;
       repro_recording = None;
-      repro_trace = None;
     }
   in
   match outcome.Oracle.verdict with
@@ -99,9 +98,10 @@ let run_trial ~arena ~trial ~seed schedule =
         shrink_steps = Some r.Shrinker.steps;
       }
 
-(* Re-run a minimal counterexample with the flight recorder on, and
-   dump the stack's trace, so the violation is replayable ([report
-   --diff]) and attributable ([report --triage] / [trace]).  A fresh
+(* Re-run a minimal counterexample with the flight recorder on, so the
+   violation is replayable ([report --diff]) and attributable ([report
+   --triage] / [trace]): the recording holds the protocols' narrative
+   notes interleaved with the messages of the same chains.  A fresh
    span minter mirrors the Par shard the trial ran in, so the repro's
    trace ids match the ledger's. *)
 let repro ~arena ~dir (e : Ledger.entry) =
@@ -112,16 +112,15 @@ let repro ~arena ~dir (e : Ledger.entry) =
       | Error _ -> e
       | Ok schedule ->
           (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-          let rec_path = Filename.concat dir (Printf.sprintf "cex-%d.recording.jsonl" e.Ledger.trial)
-          and trace_path = Filename.concat dir (Printf.sprintf "cex-%d.trace.jsonl" e.Ledger.trial) in
+          let rec_path = Filename.concat dir (Printf.sprintf "cex-%d.recording.jsonl" e.Ledger.trial) in
           Recorder.enable ~ring:4096 ~sink:rec_path ();
-          let outcome, inet =
+          let outcome, _ =
             Span.with_minter (Span.create_minter ()) (fun () ->
                 Oracle.run ~arena ~seed:e.Ledger.seed schedule)
           in
           (* Close the recording with one synthetic record naming the
-             violated invariant and its blamed chain, so the recording
-             itself — not just the trace — carries the verdict. *)
+             violated invariant and its blamed chain, so its last
+             records carry the verdict. *)
           List.iter
             (fun v ->
               match v.Invariant.trace_id with
@@ -137,14 +136,7 @@ let repro ~arena ~dir (e : Ledger.entry) =
                     ~label:"explore.violation" ~subject:v.Invariant.inv ())
             outcome.Oracle.violations;
           Recorder.disable ();
-          let oc = open_out trace_path in
-          List.iter
-            (fun entry ->
-              output_string oc (Trace.entry_to_json entry);
-              output_char oc '\n')
-            (Trace.entries (Internet.trace inet));
-          close_out oc;
-          { e with Ledger.repro_recording = Some rec_path; repro_trace = Some trace_path })
+          { e with Ledger.repro_recording = Some rec_path })
 
 let summarize entries =
   let count v =
@@ -290,11 +282,10 @@ let pp_triage ?(top = 3) ppf ~ledger =
         (match e.Ledger.repro_recording with
         | Some p -> Format.fprintf ppf "   recording: %s@." p
         | None -> ());
-        match (e.Ledger.repro_trace, blamed) with
-        | Some trace_file, (_, tid) :: _ when Sys.file_exists trace_file ->
-            let trace_entries, _ = Trace.load_jsonl_counted trace_file in
+        match (e.Ledger.repro_recording, blamed) with
+        | Some file, (_, tid) :: _ when Sys.file_exists file ->
             Format.fprintf ppf "   causal chain [%s]:@." tid;
-            Trace_report.pp_chain_for ppf trace_entries ~id:tid
+            Trace_report.pp_chain_for ppf (fst (Recorder.load_jsonl file)) ~id:tid
         | _ -> ())
       chosen
   end

@@ -13,217 +13,51 @@ type entry = {
   min_faults : int option;
   shrink_steps : int option;
   repro_recording : string option;
-  repro_trace : string option;
 }
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json e =
-  let b = Buffer.create 256 in
-  let str_list l =
-    "[" ^ String.concat ", " (List.map (fun s -> Printf.sprintf "\"%s\"" (json_escape s)) l) ^ "]"
-  in
-  let opt_str = function
-    | Some s -> Printf.sprintf "\"%s\"" (json_escape s)
-    | None -> "null"
-  in
-  let opt_int = function Some n -> string_of_int n | None -> "null" in
-  let opt_float = function Some f -> Printf.sprintf "%.17g" f | None -> "null" in
-  Printf.bprintf b
-    "{\"trial\": %d, \"seed\": %d, \"schedule\": \"%s\", \"fingerprint\": \"%s\", \"verdict\": \
-     \"%s\", \"invariants\": %s, \"trace_ids\": %s, \"transient\": %d, \"converged_at\": %s, \
-     \"deadline\": %.17g, \"min_schedule\": %s, \"min_faults\": %s, \"shrink_steps\": %s, \
-     \"repro_recording\": %s, \"repro_trace\": %s}"
-    e.trial e.seed (json_escape e.schedule) (json_escape e.fingerprint) (json_escape e.verdict)
-    (str_list e.invariants) (str_list e.trace_ids) e.transient (opt_float e.converged_at)
-    e.deadline (opt_str e.min_schedule) (opt_int e.min_faults) (opt_int e.shrink_steps)
-    (opt_str e.repro_recording) (opt_str e.repro_trace);
-  Buffer.contents b
+  let open Json_line in
+  let int_opt = opt string_of_int in
+  obj
+    [
+      ("trial", string_of_int e.trial);
+      ("seed", string_of_int e.seed);
+      ("schedule", quote e.schedule);
+      ("fingerprint", quote e.fingerprint);
+      ("verdict", quote e.verdict);
+      ("invariants", list quote e.invariants);
+      ("trace_ids", list quote e.trace_ids);
+      ("transient", string_of_int e.transient);
+      ("converged_at", opt float e.converged_at);
+      ("deadline", float e.deadline);
+      ("min_schedule", opt quote e.min_schedule);
+      ("min_faults", int_opt e.min_faults);
+      ("shrink_steps", int_opt e.shrink_steps);
+      ("repro_recording", opt quote e.repro_recording);
+    ]
 
-(* A minimal scanner for the exact shape [to_json] emits: known keys in
-   a fixed order; values are ints, floats, strings, string arrays or
-   null — the same convention as [Trace.entry_of_json]. *)
-let of_json line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let error = ref false in
-  let skip_ws () =
-    while !pos < n && (line.[!pos] = ' ' || line.[!pos] = '\t') do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if !pos < n && line.[!pos] = c then incr pos else error := true
-  in
-  let literal s =
-    skip_ws ();
-    let l = String.length s in
-    if !pos + l <= n && String.sub line !pos l = s then begin
-      pos := !pos + l;
-      true
-    end
-    else false
-  in
-  let parse_string () =
-    skip_ws ();
-    if !pos >= n || line.[!pos] <> '"' then begin
-      error := true;
-      ""
-    end
-    else begin
-      incr pos;
-      let b = Buffer.create 16 in
-      let fin = ref false in
-      while (not !fin) && !pos < n do
-        (match line.[!pos] with
-        | '"' -> fin := true
-        | '\\' when !pos + 1 < n ->
-            incr pos;
-            (match line.[!pos] with
-            | 'n' -> Buffer.add_char b '\n'
-            | 'r' -> Buffer.add_char b '\r'
-            | 't' -> Buffer.add_char b '\t'
-            | 'u' when !pos + 4 < n ->
-                (match int_of_string_opt ("0x" ^ String.sub line (!pos + 1) 4) with
-                | Some code when code < 0x20 -> Buffer.add_char b (Char.chr code)
-                | _ -> error := true);
-                pos := !pos + 4
-            | c -> Buffer.add_char b c)
-        | c -> Buffer.add_char b c);
-        incr pos
-      done;
-      if not !fin then error := true;
-      Buffer.contents b
-    end
-  in
-  let parse_number () =
-    skip_ws ();
-    let start = !pos in
-    while
-      !pos < n
-      && (match line.[!pos] with
-         | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-         | _ -> false)
-    do
-      incr pos
-    done;
-    match float_of_string_opt (String.sub line start (!pos - start)) with
-    | Some f -> f
-    | None ->
-        error := true;
-        0.0
-  in
-  let key name =
-    expect (if name = "trial" then '{' else ',');
-    skip_ws ();
-    if not (literal (Printf.sprintf "\"%s\"" name)) then error := true;
-    expect ':'
-  in
-  let int_field name =
-    key name;
-    int_of_float (parse_number ())
-  in
-  let string_field name =
-    key name;
-    parse_string ()
-  in
-  let list_field name =
-    key name;
-    expect '[';
-    skip_ws ();
-    if !pos < n && line.[!pos] = ']' then begin
-      incr pos;
-      []
-    end
-    else begin
-      let acc = ref [] in
-      let fin = ref false in
-      while (not !fin) && not !error do
-        acc := parse_string () :: !acc;
-        skip_ws ();
-        if !pos < n && line.[!pos] = ',' then incr pos
-        else begin
-          expect ']';
-          fin := true
-        end
-      done;
-      List.rev !acc
-    end
-  in
-  let opt f name =
-    key name;
-    skip_ws ();
-    if literal "null" then None else Some (f ())
-  in
-  let trial = int_field "trial" in
-  let seed = int_field "seed" in
-  let schedule = string_field "schedule" in
-  let fingerprint = string_field "fingerprint" in
-  let verdict = string_field "verdict" in
-  let invariants = list_field "invariants" in
-  let trace_ids = list_field "trace_ids" in
-  let transient = int_field "transient" in
-  let converged_at = opt parse_number "converged_at" in
-  let deadline =
-    key "deadline";
-    parse_number ()
-  in
-  let min_schedule = opt parse_string "min_schedule" in
-  let min_faults = Option.map int_of_float (opt parse_number "min_faults") in
-  let shrink_steps = Option.map int_of_float (opt parse_number "shrink_steps") in
-  let repro_recording = opt parse_string "repro_recording" in
-  let repro_trace = opt parse_string "repro_trace" in
-  expect '}';
-  if !error then None
-  else
-    Some
+let of_json =
+  Json_line.decode (fun o ->
+      let open Json_line in
       {
-        trial;
-        seed;
-        schedule;
-        fingerprint;
-        verdict;
-        invariants;
-        trace_ids;
-        transient;
-        converged_at;
-        deadline;
-        min_schedule;
-        min_faults;
-        shrink_steps;
-        repro_recording;
-        repro_trace;
-      }
+        trial = int o "trial";
+        seed = int o "seed";
+        schedule = str o "schedule";
+        fingerprint = str o "fingerprint";
+        verdict = str o "verdict";
+        invariants = strs o "invariants";
+        trace_ids = strs o "trace_ids";
+        transient = int o "transient";
+        converged_at = optional num o "converged_at";
+        deadline = num o "deadline";
+        min_schedule = optional str o "min_schedule";
+        min_faults = optional int o "min_faults";
+        shrink_steps = optional int o "shrink_steps";
+        repro_recording = optional str o "repro_recording";
+      })
 
 let append oc e =
   output_string oc (to_json e);
   output_char oc '\n'
 
-let load file =
-  let ic = open_in file in
-  let entries = ref [] and bad = ref 0 in
-  (try
-     while true do
-       let line = input_line ic in
-       if String.trim line <> "" then
-         match of_json line with
-         | Some e -> entries := e :: !entries
-         | None -> incr bad
-     done
-   with End_of_file -> ());
-  close_in ic;
-  (List.rev !entries, !bad)
+let load = Json_line.load of_json

@@ -27,7 +27,6 @@ type entry = {
   min_faults : int option;
   shrink_steps : int option;  (** oracle re-runs the shrinker spent *)
   repro_recording : string option;  (** flight-recorder JSONL, when written *)
-  repro_trace : string option;  (** trace JSONL, when written *)
 }
 
 val to_json : entry -> string

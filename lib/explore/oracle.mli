@@ -57,8 +57,9 @@ val verdict_of :
 val run :
   ?arena:arena -> ?conv_grace:Time.t -> ?monitor:bool -> seed:int -> Schedule.t -> outcome * Internet.t
 (** Deterministic in [(arena, conv_grace, seed, schedule)].  The
-    returned stack is final-state: its trace carries the ["violation"]
-    entries (with blamed trace ids) of every check, for repro dumps.
+    returned stack is final-state.  With the flight recorder on, the
+    end-state check appends [note.violation] records (with blamed trace
+    ids) to the recording, for repro dumps.
     [conv_grace] (default 2 h) pads the convergence deadline.
     [~monitor:false] skips the cadence invariant monitor ([transient]
     stays 0; the end-state check still runs) — the bench uses it to

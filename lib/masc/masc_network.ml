@@ -44,9 +44,9 @@ let exchange_partition ~tops ~exchanges =
     | Some p -> p
     | None -> Prefix.class_d
 
-let create ~engine ~rng ?(config = Masc_node.default_config) ?(trace = Trace.create ())
-    ?(top_space = fun _ -> Prefix.class_d) ?net ~parent_of ~ids () =
-  let net = match net with Some n -> n | None -> Net.create ~engine ~trace () in
+let create ~engine ~rng ?(config = Masc_node.default_config) ?(top_space = fun _ -> Prefix.class_d)
+    ?net ~parent_of ~ids () =
+  let net = match net with Some n -> n | None -> Net.create ~engine () in
   let t =
     {
       engine;
@@ -65,9 +65,7 @@ let create ~engine ~rng ?(config = Masc_node.default_config) ?(trace = Trace.cre
         | Some p -> Masc_node.Child p
         | None -> Masc_node.Top
       in
-      let node =
-        Masc_node.create ~id ~role ~config ~engine ~rng:(Rng.split rng) ~trace
-      in
+      let node = Masc_node.create ~id ~role ~config ~engine ~rng:(Rng.split rng) in
       Hashtbl.replace t.nodes id node)
     ids;
   (* Children lists, top meshes, bootstrap, transport. *)
@@ -87,14 +85,14 @@ let create ~engine ~rng ?(config = Masc_node.default_config) ?(trace = Trace.cre
     ids;
   t
 
-let of_topo ~engine ~rng ?config ?trace ?net topo =
+let of_topo ~engine ~rng ?config ?net topo =
   let parent_of id =
     match Topo.providers_of topo id with
     | [] -> None
     | p :: _ -> Some p
   in
   let ids = List.map (fun d -> d.Domain.id) (Topo.domains topo) in
-  create ~engine ~rng ?config ?trace ?net ~parent_of ~ids ()
+  create ~engine ~rng ?config ?net ~parent_of ~ids ()
 
 let node t id =
   match Hashtbl.find_opt t.nodes id with

@@ -17,7 +17,6 @@ val create :
   engine:Engine.t ->
   rng:Rng.t ->
   ?config:Masc_node.config ->
-  ?trace:Trace.t ->
   ?top_space:(Domain.id -> Prefix.t) ->
   ?net:Net.t ->
   parent_of:(Domain.id -> Domain.id option) ->
@@ -44,7 +43,6 @@ val of_topo :
   engine:Engine.t ->
   rng:Rng.t ->
   ?config:Masc_node.config ->
-  ?trace:Trace.t ->
   ?net:Net.t ->
   Topo.t ->
   t

@@ -59,7 +59,7 @@ type t = {
   config : config;
   engine : Engine.t;
   rng : Rng.t;
-  trace : Trace.t;
+  subject : string;  (** recorder subject of this node's notes *)
   mutable transport : dst:Domain.id -> Masc_message.t -> unit;
   mutable children : Domain.id list;
   mutable top_siblings : Domain.id list;
@@ -84,14 +84,14 @@ type t = {
   mutable started : bool;
 }
 
-let create ~id ~role ~config ~engine ~rng ~trace =
+let create ~id ~role ~config ~engine ~rng =
   {
     self = id;
     node_role = role;
     config;
     engine;
     rng;
-    trace;
+    subject = Printf.sprintf "masc-%d" id;
     transport = (fun ~dst:_ _ -> ());
     children = [];
     top_siblings = [];
@@ -145,12 +145,9 @@ let maas_arena t = if has_children t then Down else Up
 
 let own_in t arena = List.filter (fun c -> c.claim.claim_arena = arena) t.own
 
-let trace t tag ?span fmt =
-  Format.kasprintf
-    (fun detail ->
-      Trace.record t.trace ~time:(Engine.now t.engine)
-        ~actor:(Printf.sprintf "masc-%d" t.self) ~tag ?span detail)
-    fmt
+(* A narrative [note.*] record; formats nothing while recording is off. *)
+let note t label ?span fmt =
+  Recorder.recordf ~time:(Engine.now t.engine) ~label ~subject:t.subject ?span fmt
 
 let send t dst msg = t.transport ~dst msg
 
@@ -300,7 +297,7 @@ and renewal_decision t ctl =
     in
     if still_needed then begin
       ctl.claim.claim_lifetime_end <- Engine.now t.engine +. t.config.claim_lifetime;
-      trace t "renew" "%a until %a" Prefix.pp ctl.claim.claim_prefix Time.pp
+      note t "note.renew" "%a until %a" Prefix.pp ctl.claim.claim_prefix Time.pp
         ctl.claim.claim_lifetime_end;
       announce_claim t ctl;
       schedule_renewal t ctl
@@ -314,7 +311,7 @@ and renewal_decision t ctl =
           (Engine.schedule_at ~label:"masc.expire" t.engine (max expiry (Engine.now t.engine))
              (fun () ->
                if List.memq ctl t.own && used_in t ctl = 0 then begin
-                 trace t "expire" "%a" Prefix.pp ctl.claim.claim_prefix;
+                 note t "note.expire" "%a" Prefix.pp ctl.claim.claim_prefix;
                  remove_own t ctl ~release:true ~lost:true
                end
                else if List.memq ctl t.own then begin
@@ -340,7 +337,7 @@ let rec finish_wait t ctl =
   if List.memq ctl t.own && ctl.claim.claim_state = Waiting then begin
     ctl.claim.claim_state <- Acquired;
     let acquired_span = Span.child ctl.claim.claim_span in
-    trace t "acquired" ~span:acquired_span "%a" Prefix.pp ctl.claim.claim_prefix;
+    note t "note.acquired" ~span:acquired_span "%a" Prefix.pp ctl.claim.claim_prefix;
     Engine.note_activity t.engine "masc";
     (* A doubling claim absorbs the prefix it grew from. *)
     (match ctl.absorbing with
@@ -419,7 +416,7 @@ and start_claim t arena ~want_len ?(absorbing = None) ?(consolidating = false) (
       t.claims_made <- t.claims_made + 1;
       Metrics.incr m_claims;
       Engine.note_activity t.engine "masc";
-      trace t "claim" ~span:claim_span "%a (%s)" Prefix.pp prefix
+      note t "note.claim" ~span:claim_span "%a (%s)" Prefix.pp prefix
         (match (absorbing, consolidating) with
         | Some _, _ -> "double"
         | None, true -> "consolidate"
@@ -434,9 +431,9 @@ and start_claim t arena ~want_len ?(absorbing = None) ?(consolidating = false) (
 and escalate_up t ~need =
   match t.node_role with
   | Child parent ->
-      trace t "need-space" "%d addresses" need;
+      note t "note.need-space" "%d addresses" need;
       send t parent (Masc_message.Need_space need)
-  | Top -> trace t "blocked" "224/4 exhausted for need %d" need
+  | Top -> note t "note.blocked" "224/4 exhausted for need %d" need
 
 (* Apply the §4.3.3 policy for [need] addresses in [arena]; returns true
    when the demand is already satisfiable from existing space. *)
@@ -607,7 +604,7 @@ let duel_own_claims t arena ~owner ~prefix =
         (* The collision continues the WINNING claim's chain, so the
            surviving allocation's timeline contains the duel. *)
         let cspan = Span.child ctl.claim.claim_span in
-        trace t "collision-sent" ~span:cspan "%a of %d loses to our %a" Prefix.pp prefix owner
+        note t "note.collision-sent" ~span:cspan "%a of %d loses to our %a" Prefix.pp prefix owner
           Prefix.pp ctl.claim.claim_prefix;
         send_collision t ~arena ~victim:owner ~victim_prefix:prefix
           ~winner_prefix:ctl.claim.claim_prefix ~span:(Some cspan);
@@ -645,9 +642,10 @@ let handle_claim_announce_impl t arena ~owner ~prefix ~lifetime_end ~span =
             t.collisions_suffered <- t.collisions_suffered + 1;
             Metrics.incr m_collisions;
             Engine.note_activity t.engine "masc";
-            trace t "collision-lost"
-              ?span:(Option.map Span.child span)
-              "our %a loses to %a of %d" Prefix.pp ctl.claim.claim_prefix Prefix.pp prefix owner;
+            if Recorder.is_enabled () then
+              note t "note.collision-lost"
+                ?span:(Option.map Span.child span)
+                "our %a loses to %a of %d" Prefix.pp ctl.claim.claim_prefix Prefix.pp prefix owner;
             let want_len = Prefix.len ctl.claim.claim_prefix in
             remove_own t ctl ~release:false ~lost:true;
             Metrics.incr m_reclaims;
@@ -691,9 +689,10 @@ let handle_collision_impl t ~victim ~victim_prefix ~winner ~winner_prefix ~span 
           t.collisions_suffered <- t.collisions_suffered + 1;
           Metrics.incr m_collisions;
           Engine.note_activity t.engine "masc";
-          trace t "collision-yield"
-            ?span:(Option.map Span.child span)
-            "%a to %d's %a" Prefix.pp victim_prefix winner Prefix.pp winner_prefix;
+          if Recorder.is_enabled () then
+            note t "note.collision-yield"
+              ?span:(Option.map Span.child span)
+              "%a to %d's %a" Prefix.pp victim_prefix winner Prefix.pp winner_prefix;
           let arena = ctl.claim.claim_arena in
           let want_len = Prefix.len ctl.claim.claim_prefix in
           remove_own t ctl ~release:false ~lost:true;
@@ -726,8 +725,9 @@ let receive t ~from_ msg =
   | Masc_message.Space_advertise ranges ->
       List.iter (Address_space.remove_cover t.up_space) (Address_space.covers t.up_space);
       List.iter (Address_space.add_cover t.up_space) ranges;
-      trace t "space" "parent space now [%s]"
-        (String.concat " " (List.map Prefix.to_string ranges));
+      if Recorder.is_enabled () then
+        note t "note.space" "parent space now [%s]"
+          (String.concat " " (List.map Prefix.to_string ranges));
       process_pending t
   | Masc_message.Claim_announce { owner; prefix; lifetime_end; span } ->
       handle_claim_announce t (arena_of_sender ()) ~owner ~prefix ~lifetime_end ~span
@@ -746,7 +746,7 @@ let receive t ~from_ msg =
       handle_collision t ~victim ~victim_prefix ~winner ~winner_prefix ~span
   | Masc_message.Need_space need ->
       if List.mem from_ t.children then begin
-        trace t "child-needs" "%d addresses for %d" need from_;
+        note t "note.child-needs" "%d addresses for %d" need from_;
         let total = Address_space.total_addresses t.down_space in
         let used =
           List.fold_left
@@ -765,7 +765,7 @@ let reparent t ~new_parent =
   | Top -> invalid_arg "Masc_node.reparent: top-level node has no parent"
   | Child old_parent ->
       if old_parent <> new_parent then begin
-        trace t "reparent" "%d -> %d" old_parent new_parent;
+        note t "note.reparent" "%d -> %d" old_parent new_parent;
         t.node_role <- Child new_parent;
         (* Forget the old parent's space and sibling registry; the new
            parent's Space_advertise repopulates the covers and its relays

@@ -29,7 +29,6 @@ type stats = {
 type t = {
   engine : Engine.t;
   mutable cfg : config;
-  trace : Trace.t option;
   (* The loss RNG is private to the net and is never drawn when
      [loss_rate] is zero, so loss-free runs match the pre-substrate
      stack draw-for-draw. *)
@@ -59,13 +58,12 @@ type 'a channel = {
   subj : string;
 }
 
-let create ~engine ?(config = default_config) ?trace () =
+let create ~engine ?(config = default_config) () =
   if config.loss_rate < 0.0 || config.loss_rate >= 1.0 then
     invalid_arg "Net.create: loss_rate outside [0, 1)";
   {
     engine;
     cfg = config;
-    trace;
     loss_rng = Rng.create config.loss_seed;
     by_protocol = Hashtbl.create 4;
     down = Hashtbl.create 16;
@@ -136,12 +134,7 @@ let drop ch ?span msg reason =
     Recorder.record
       ~time:(Engine.now ch.net.engine)
       ~label:st.drop_label ~subject:(ch.subj ^ " " ^ reason) ?span ();
-  (match ch.on_drop with Some f -> f msg | None -> ());
-  match ch.net.trace with
-  | Some tr ->
-      Trace.recordf tr ~time:(Engine.now ch.net.engine) ~actor:("net:" ^ st.protocol)
-        ~tag:"net-drop" ?span "%d->%d %s" ch.src ch.dst reason
-  | None -> ()
+  match ch.on_drop with Some f -> f msg | None -> ()
 
 let deliver ch =
   let msg, span, sent_epoch = Queue.pop ch.queue in

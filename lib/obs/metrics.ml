@@ -336,48 +336,28 @@ let json_float f =
   else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.17g" f
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json snap =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"metrics\": [\n";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_string b ",\n";
-      (match v with
-      | Counter_v c ->
-          Buffer.add_string b
-            (Printf.sprintf "    {\"name\": \"%s\", \"kind\": \"counter\", \"value\": %d}"
-               (json_escape name) c)
-      | Gauge_v g ->
-          Buffer.add_string b
-            (Printf.sprintf "    {\"name\": \"%s\", \"kind\": \"gauge\", \"value\": %s}"
-               (json_escape name) (json_float g))
+  let open Json_line in
+  let instrument (name, v) =
+    let fields =
+      match v with
+      | Counter_v c -> [ ("kind", quote "counter"); ("value", string_of_int c) ]
+      | Gauge_v g -> [ ("kind", quote "gauge"); ("value", json_float g) ]
       | Histogram_v h ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "    {\"name\": \"%s\", \"kind\": \"histogram\", \"count\": %d, \"sum\": %s, \
-                \"mean\": %s, \"stddev\": %s, \"min\": %s, \"max\": %s, \"buckets\": [%s]}"
-               (json_escape name) h.hcount (json_float h.hsum) (json_float h.hmean)
-               (json_float h.hstddev) (json_float h.hmin) (json_float h.hmax)
-               (String.concat ", "
-                  (List.map
-                     (fun (bound, c) ->
-                       Printf.sprintf "{\"le\": %s, \"count\": %d}" (json_float bound) c)
-                     h.hbuckets)))))
-    snap;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+          [
+            ("kind", quote "histogram");
+            ("count", string_of_int h.hcount);
+            ("sum", json_float h.hsum);
+            ("mean", json_float h.hmean);
+            ("stddev", json_float h.hstddev);
+            ("min", json_float h.hmin);
+            ("max", json_float h.hmax);
+            ( "buckets",
+              list
+                (fun (bound, c) -> obj [ ("le", json_float bound); ("count", string_of_int c) ])
+                h.hbuckets );
+          ]
+    in
+    "    " ^ obj (("name", quote name) :: fields)
+  in
+  "{\n  \"metrics\": [\n" ^ String.concat ",\n" (List.map instrument snap) ^ "\n  ]\n}\n"

@@ -173,133 +173,29 @@ let pp ppf () = pp_rows ppf (rows ())
 
 (* --- JSONL round-trip ------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let row_to_json r =
-  Printf.sprintf
-    "{\"path\": \"%s\", \"count\": %d, \"total_s\": %.17g, \"self_s\": %.17g, \"total_bytes\": \
-     %.17g, \"self_bytes\": %.17g}"
-    (json_escape (String.concat ";" r.path))
-    r.count r.total_s r.self_s r.total_bytes r.self_bytes
+  let f = Json_line.float in
+  Json_line.obj
+    [
+      ("path", Json_line.quote (String.concat ";" r.path));
+      ("count", string_of_int r.count);
+      ("total_s", f r.total_s);
+      ("self_s", f r.self_s);
+      ("total_bytes", f r.total_bytes);
+      ("self_bytes", f r.self_bytes);
+    ]
 
-(* Scanner for exactly the shape [row_to_json] emits: fixed key order,
-   escaped string path, plain numbers. *)
-let row_of_json line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let error = ref false in
-  let skip_ws () =
-    while !pos < n && (line.[!pos] = ' ' || line.[!pos] = '\t') do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if !pos < n && line.[!pos] = c then incr pos else error := true
-  in
-  let literal s =
-    skip_ws ();
-    let k = String.length s in
-    if !pos + k <= n && String.sub line !pos k = s then pos := !pos + k else error := true
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 32 in
-    let fin = ref false in
-    while (not !fin) && not !error do
-      if !pos >= n then error := true
-      else begin
-        let c = line.[!pos] in
-        incr pos;
-        if c = '"' then fin := true
-        else if c = '\\' then begin
-          if !pos >= n then error := true
-          else begin
-            let e = line.[!pos] in
-            incr pos;
-            match e with
-            | '"' -> Buffer.add_char b '"'
-            | '\\' -> Buffer.add_char b '\\'
-            | 'n' -> Buffer.add_char b '\n'
-            | 'u' ->
-                if !pos + 4 <= n then begin
-                  (match int_of_string_opt ("0x" ^ String.sub line !pos 4) with
-                  | Some code when code < 0x100 -> Buffer.add_char b (Char.chr code)
-                  | Some _ | None -> error := true);
-                  pos := !pos + 4
-                end
-                else error := true
-            | _ -> error := true
-          end
-        end
-        else Buffer.add_char b c
-      end
-    done;
-    Buffer.contents b
-  in
-  let parse_number () =
-    skip_ws ();
-    let start = !pos in
-    while
-      !pos < n
-      &&
-      match line.[!pos] with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    do
-      incr pos
-    done;
-    match float_of_string_opt (String.sub line start (!pos - start)) with
-    | Some f -> f
-    | None ->
-        error := true;
-        0.0
-  in
-  let field key =
-    literal ("\"" ^ key ^ "\"");
-    expect ':'
-  in
-  expect '{';
-  field "path";
-  let path = parse_string () in
-  expect ',';
-  field "count";
-  let count = parse_number () in
-  expect ',';
-  field "total_s";
-  let total_s = parse_number () in
-  expect ',';
-  field "self_s";
-  let self_s = parse_number () in
-  expect ',';
-  field "total_bytes";
-  let total_bytes = parse_number () in
-  expect ',';
-  field "self_bytes";
-  let self_bytes = parse_number () in
-  expect '}';
-  if !error then None
-  else
-    Some
+let row_of_json =
+  Json_line.decode (fun o ->
+      let open Json_line in
       {
-        path = String.split_on_char ';' path;
-        count = int_of_float count;
-        total_s;
-        self_s;
-        total_bytes;
-        self_bytes;
-      }
+        path = String.split_on_char ';' (str o "path");
+        count = int o "count";
+        total_s = num o "total_s";
+        self_s = num o "self_s";
+        total_bytes = num o "total_bytes";
+        self_bytes = num o "self_bytes";
+      })
 
 let to_jsonl () =
   let b = Buffer.create 1024 in
@@ -315,21 +211,7 @@ let write_jsonl file =
   output_string oc (to_jsonl ());
   close_out oc
 
-let load_jsonl_counted file =
-  let ic = open_in file in
-  let acc = ref [] in
-  let bad = ref 0 in
-  (try
-     while true do
-       let line = input_line ic in
-       if String.trim line <> "" then
-         match row_of_json line with Some r -> acc := r :: !acc | None -> incr bad
-     done
-   with End_of_file -> ());
-  close_in ic;
-  (List.rev !acc, !bad)
-
-let load_jsonl file = fst (load_jsonl_counted file)
+let load_jsonl = Json_line.load row_of_json
 
 let folded rows =
   let b = Buffer.create 1024 in

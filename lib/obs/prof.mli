@@ -87,13 +87,9 @@ val to_jsonl : unit -> string
 val write_jsonl : string -> unit
 (** Write the live tree to [file], one row per line. *)
 
-val load_jsonl : string -> row list
-(** Parse a file written by [write_jsonl]; unparseable lines are
-    skipped. *)
-
-val load_jsonl_counted : string -> row list * int
-(** Like {!load_jsonl}, also returning the count of malformed
-    non-blank lines skipped. *)
+val load_jsonl : string -> row list * int
+(** Parse a file written by [write_jsonl]: rows plus the count of
+    malformed non-blank lines skipped. *)
 
 val folded : row list -> string
 (** Flamegraph folded-stacks: one ["a;b;c <self-microseconds>"] line per

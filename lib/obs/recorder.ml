@@ -1,6 +1,7 @@
 (* Flight recorder: a compact capture of the event stream a run
    executed, cheap enough to leave on in CI.  One record per fired
-   engine event (plus net-level deliver/drop records), each carrying
+   engine event, net-level deliver/drop records, and the protocols'
+   narrative [note.*] records (with a formatted detail), each carrying
    the deterministic span ids from Span so any record is causally
    attributable.  The recorder keeps a bounded ring of recent records,
    optionally streams everything to a JSONL sink, and folds every
@@ -13,6 +14,7 @@ type record = {
   r_time : float;
   r_label : string;
   r_subject : string;
+  r_detail : string;
   r_trace_id : string option;
   r_span : int option;
   r_parent : int option;
@@ -21,7 +23,9 @@ type record = {
 (* --- fingerprint hashing --------------------------------------------- *)
 
 (* FNV-1a over the record's semantic fields (time, label, subject,
-   causality) — NOT the seq, which merge renumbers.  Records are folded
+   detail, causality) — NOT the seq, which merge renumbers.  An empty
+   detail contributes nothing, so detail-less records hash as they did
+   before the field existed.  Records are folded
    into the stream hash with a multiply-accumulate so both content and
    order matter. *)
 
@@ -50,6 +54,7 @@ let record_hash r =
   let h = h_int64 fnv_offset (Int64.bits_of_float r.r_time) in
   let h = h_string h r.r_label in
   let h = h_string h r.r_subject in
+  let h = if r.r_detail = "" then h else h_string h r.r_detail in
   let h = h_string h (match r.r_trace_id with Some id -> id | None -> "") in
   let h = h_int64 h (Int64.of_int (match r.r_span with Some s -> s | None -> -1)) in
   h_int64 h (Int64.of_int (match r.r_parent with Some p -> p | None -> -1))
@@ -126,175 +131,47 @@ let bucket t label =
 
 (* --- JSONL encoding --------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
+(* Detail and the causality keys are written only when present, so a
+   record without them is byte-identical to one from before they
+   existed. *)
 let record_to_json r =
-  let b = Buffer.create 96 in
-  Printf.bprintf b "{\"seq\": %d, \"time\": %.17g, \"label\": \"%s\", \"subject\": \"%s\"" r.seq
-    r.r_time (json_escape r.r_label) (json_escape r.r_subject);
-  (match r.r_trace_id with
-  | Some id -> Printf.bprintf b ", \"trace_id\": \"%s\"" (json_escape id)
-  | None -> ());
-  (match r.r_span with Some s -> Printf.bprintf b ", \"span\": %d" s | None -> ());
-  (match r.r_parent with Some p -> Printf.bprintf b ", \"parent\": %d" p | None -> ());
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let some k f = function Some v -> [ (k, f v) ] | None -> [] in
+  Json_line.obj
+    ([
+       ("seq", string_of_int r.seq);
+       ("time", Json_line.float r.r_time);
+       ("label", Json_line.quote r.r_label);
+       ("subject", Json_line.quote r.r_subject);
+     ]
+    @ (if r.r_detail = "" then [] else [ ("detail", Json_line.quote r.r_detail) ])
+    @ some "trace_id" Json_line.quote r.r_trace_id
+    @ some "span" string_of_int r.r_span
+    @ some "parent" string_of_int r.r_parent)
 
-(* Scanner for the exact shape [record_to_json] emits; the causality
-   keys are optional.  Same hand-rolled approach as Trace.entry_of_json
-   — no JSON library in the dependency set. *)
-let record_of_json line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let error = ref false in
-  let skip_ws () = while !pos < n && (line.[!pos] = ' ' || line.[!pos] = '\t') do incr pos done in
-  let expect c =
-    skip_ws ();
-    if !pos < n && line.[!pos] = c then incr pos else error := true
-  in
-  let parse_string () =
-    skip_ws ();
-    if !pos >= n || line.[!pos] <> '"' then begin
-      error := true;
-      ""
-    end
-    else begin
-      incr pos;
-      let b = Buffer.create 16 in
-      let fin = ref false in
-      while (not !fin) && not !error do
-        if !pos >= n then error := true
-        else begin
-          let c = line.[!pos] in
-          incr pos;
-          if c = '"' then fin := true
-          else if c = '\\' then begin
-            if !pos >= n then error := true
-            else begin
-              let e = line.[!pos] in
-              incr pos;
-              match e with
-              | '"' -> Buffer.add_char b '"'
-              | '\\' -> Buffer.add_char b '\\'
-              | 'n' -> Buffer.add_char b '\n'
-              | 'r' -> Buffer.add_char b '\r'
-              | 't' -> Buffer.add_char b '\t'
-              | 'u' ->
-                  if !pos + 4 <= n then begin
-                    (match int_of_string_opt ("0x" ^ String.sub line !pos 4) with
-                    | Some code when code < 0x100 -> Buffer.add_char b (Char.chr code)
-                    | Some _ | None -> error := true);
-                    pos := !pos + 4
-                  end
-                  else error := true
-              | _ -> error := true
-            end
-          end
-          else Buffer.add_char b c
-        end
-      done;
-      Buffer.contents b
-    end
-  in
-  let parse_key key =
-    expect '"';
-    let k = String.length key in
-    if (not !error) && !pos + k + 1 <= n && String.sub line (!pos - 1) (k + 2) = "\"" ^ key ^ "\"" then
-      pos := !pos + k + 1
-    else error := true;
-    expect ':'
-  in
-  let parse_float () =
-    skip_ws ();
-    let start = !pos in
-    while
-      !pos < n
-      && (match line.[!pos] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false)
-    do
-      incr pos
-    done;
-    match float_of_string_opt (String.sub line start (!pos - start)) with
-    | Some f -> f
-    | None ->
-        error := true;
-        0.0
-  in
-  let attempt f =
-    let saved = !pos in
-    let v = f () in
-    if !error then begin
-      pos := saved;
-      error := false;
-      None
-    end
-    else Some v
-  in
-  expect '{';
-  parse_key "seq";
-  let seq = int_of_float (parse_float ()) in
-  expect ',';
-  parse_key "time";
-  let r_time = parse_float () in
-  expect ',';
-  parse_key "label";
-  let r_label = parse_string () in
-  expect ',';
-  parse_key "subject";
-  let r_subject = parse_string () in
-  let r_trace_id =
-    attempt (fun () ->
-        expect ',';
-        parse_key "trace_id";
-        parse_string ())
-  in
-  let parse_int key =
-    attempt (fun () ->
-        expect ',';
-        parse_key key;
-        int_of_float (parse_float ()))
-  in
-  let r_span = if r_trace_id = None then None else parse_int "span" in
-  let r_parent = if r_span = None then None else parse_int "parent" in
-  expect '}';
-  if !error then None else Some { seq; r_time; r_label; r_subject; r_trace_id; r_span; r_parent }
+let record_of_json =
+  Json_line.decode (fun o ->
+      let open Json_line in
+      {
+        seq = int o "seq";
+        r_time = num o "time";
+        r_label = str o "label";
+        r_subject = str o "subject";
+        r_detail = Option.value ~default:"" (optional str o "detail");
+        r_trace_id = optional str o "trace_id";
+        r_span = optional int o "span";
+        r_parent = optional int o "parent";
+      })
 
-let load_jsonl path =
-  let ic = open_in path in
-  let rec loop acc bad =
-    match input_line ic with
-    | line ->
-        if String.trim line = "" then loop acc bad
-        else (
-          match record_of_json line with
-          | Some r -> loop (r :: acc) bad
-          | None -> loop acc (bad + 1))
-    | exception End_of_file -> (List.rev acc, bad)
-  in
-  let res = loop [] 0 in
-  close_in ic;
-  res
+let load_jsonl = Json_line.load record_of_json
 
 (* --- recording -------------------------------------------------------- *)
 
 (* [add] assigns the instance's next seq — shard replay renumbers, so a
    merged stream is indistinguishable from a sequential one. *)
-let add t ~time ~label ~subject ~trace_id ~span ~parent =
+let add t ~time ~label ~subject ~detail ~trace_id ~span ~parent =
   let r =
-    { seq = t.count; r_time = time; r_label = label; r_subject = subject; r_trace_id = trace_id;
-      r_span = span; r_parent = parent }
+    { seq = t.count; r_time = time; r_label = label; r_subject = subject; r_detail = detail;
+      r_trace_id = trace_id; r_span = span; r_parent = parent }
   in
   t.count <- t.count + 1;
   if t.shard_mode then t.buffered <- r :: t.buffered
@@ -310,15 +187,20 @@ let add t ~time ~label ~subject ~trace_id ~span ~parent =
     | None -> ()
   end
 
-let record ~time ~label ?(subject = "") ?span () =
+let record ~time ~label ?(subject = "") ?(detail = "") ?span ?trace_id () =
   if !on then begin
     let trace_id, sp, parent =
       match span with
       | Some s -> (Some s.Span.trace_id, Some s.Span.span, s.Span.parent)
-      | None -> (None, None, None)
+      | None -> (trace_id, None, None)
     in
-    add (current ()) ~time ~label ~subject ~trace_id ~span:sp ~parent
+    add (current ()) ~time ~label ~subject ~detail ~trace_id ~span:sp ~parent
   end
+
+let recordf ~time ~label ?subject ?span ?trace_id fmt =
+  if !on then
+    Format.kasprintf (fun detail -> record ~time ~label ?subject ~detail ?span ?trace_id ()) fmt
+  else Format.ikfprintf ignore Format.str_formatter fmt
 
 (* --- lifecycle --------------------------------------------------------- *)
 
@@ -407,6 +289,6 @@ let merge shard =
     let t = current () in
     List.iter
       (fun r ->
-        add t ~time:r.r_time ~label:r.r_label ~subject:r.r_subject ~trace_id:r.r_trace_id
-          ~span:r.r_span ~parent:r.r_parent)
+        add t ~time:r.r_time ~label:r.r_label ~subject:r.r_subject ~detail:r.r_detail
+          ~trace_id:r.r_trace_id ~span:r.r_span ~parent:r.r_parent)
       shard.srecs

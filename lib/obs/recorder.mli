@@ -2,10 +2,15 @@
     fingerprints.
 
     When enabled, the engine's dispatch point and the transport's
-    deliver/drop paths append one {!record} per observed event.  Each
-    record carries the event's sim time, label, a short subject string
-    and the deterministic span ids from {!Span}, so any record is
-    causally attributable with [Trace_report].  The recorder keeps a
+    deliver/drop paths append one {!record} per observed event, and the
+    protocols append narrative [note.<tag>] records (a MASC claim, a
+    G-RIB update, a BGMP join hop, an invariant violation) whose
+    subject is the acting entity and whose detail says what happened.
+    Each record carries the event's sim time, label, a short subject
+    string and the deterministic span ids from {!Span}, so any record
+    is causally attributable with [Trace_report]: one ordered stream
+    holds a chain's narrative interleaved with the messages that
+    carried it.  The recorder keeps a
     bounded ring of recent records, optionally streams every record to
     a JSONL file, and folds each one into rolling 64-bit fingerprints
     — overall and per label prefix ([masc.*], [bgp.*], [bgmp.*],
@@ -28,7 +33,8 @@ type record = {
   seq : int;  (** 0-based position in the (merged) stream *)
   r_time : float;  (** sim time the event fired *)
   r_label : string;  (** event label, e.g. [net.deliver.bgp] *)
-  r_subject : string;  (** short free-form subject, e.g. ["3->4"] *)
+  r_subject : string;  (** short free-form subject, e.g. ["3->4"], ["masc-2"] *)
+  r_detail : string;  (** narrative detail of a [note.*] record; [""] when absent *)
   r_trace_id : string option;
   r_span : int option;
   r_parent : int option;
@@ -46,9 +52,33 @@ val disable : unit -> unit
 (** Stop recording and close the sink.  Ring and fingerprints remain
     readable until the next {!enable}. *)
 
-val record : time:float -> label:string -> ?subject:string -> ?span:Span.t -> unit -> unit
+val record :
+  time:float ->
+  label:string ->
+  ?subject:string ->
+  ?detail:string ->
+  ?span:Span.t ->
+  ?trace_id:string ->
+  unit ->
+  unit
 (** Append one record (no-op when disabled — but guard call sites with
-    {!is_enabled} so argument construction is skipped too). *)
+    {!is_enabled} so argument construction is skipped too).  [?span]
+    stamps the record with the span's trace id, span id and parent;
+    [?trace_id] alone links a record to a chain without a span of its
+    own (invariant violations do this).  [?span] wins when both are
+    given. *)
+
+val recordf :
+  time:float ->
+  label:string ->
+  ?subject:string ->
+  ?span:Span.t ->
+  ?trace_id:string ->
+  ('a, Format.formatter, unit, unit) format4 ->
+  'a
+(** {!record} with the detail built from a format string; when
+    recording is off the arguments are consumed without any formatting
+    work. *)
 
 val recent : unit -> record list
 (** The ring's contents, oldest first. *)
@@ -68,8 +98,8 @@ type fingerprint = {
 
 val fingerprint : unit -> fingerprint
 (** Rolling FNV-1a/multiply-accumulate hash of every record so far.
-    Covers each record's time, label, subject and causality fields —
-    not its seq — and is order-sensitive. *)
+    Covers each record's time, label, subject, detail (when non-empty)
+    and causality fields — not its seq — and is order-sensitive. *)
 
 val pp_fingerprint : Format.formatter -> fingerprint -> unit
 (** Overall line plus one indented line per prefix, hashes as 16-digit
@@ -93,7 +123,8 @@ val merge : shard -> unit
 (** {1 JSONL} *)
 
 val record_to_json : record -> string
-(** One JSON object, no trailing newline. *)
+(** One JSON object, no trailing newline; [detail], [trace_id], [span]
+    and [parent] keys appear only when present. *)
 
 val record_of_json : string -> record option
 

@@ -52,12 +52,9 @@ val close : t -> unit
 
 type point = { at : float; series : string; value : float }
 
-val load_jsonl : string -> point list
-(** Parse a file written by the [Jsonl] sink; bad lines are skipped. *)
-
-val load_jsonl_counted : string -> point list * int
-(** Like {!load_jsonl}, also returning the count of malformed
-    non-blank lines skipped. *)
+val load_jsonl : string -> point list * int
+(** Parse a file written by the [Jsonl] sink: points plus the count of
+    malformed non-blank lines skipped. *)
 
 val series_of : point list -> (string * (float * float) array) list
 (** Group points into per-series (time, value) arrays, series in

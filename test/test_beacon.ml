@@ -101,7 +101,7 @@ let test_matrix_jsonl_roundtrip () =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       Beacon_matrix.write_jsonl ~meta:[ ("loss", 0.5); ("trials", 1.0) ] path cells;
-      let meta, loaded = Beacon_matrix.load_jsonl path in
+      let meta, loaded, _ = Beacon_matrix.load_jsonl path in
       check Alcotest.int "cells survive" (List.length cells) (List.length loaded);
       check Alcotest.bool "summaries equal" true
         (Beacon_matrix.summary loaded = Beacon_matrix.summary cells);
@@ -239,11 +239,20 @@ let test_campaign_churn_loses_probes () =
 
 let test_campaign_rejects_bad_params () =
   let module C = Beacon_campaign in
-  check Alcotest.bool "zero trials rejected" true
-    (try
-       ignore (C.run { C.default_params with C.trials = 0 });
-       false
-     with Invalid_argument _ -> true);
+  List.iter
+    (fun (what, p) ->
+      check Alcotest.bool (what ^ " rejected") true
+        (try
+           ignore (C.run p);
+           false
+         with Invalid_argument _ -> true))
+    [
+      ("zero trials", { C.default_params with C.trials = 0 });
+      ("zero probes", { C.default_params with C.probes = 0 });
+      ("zero probes under churn", { C.default_params with C.probes = 0; churn = true });
+      ("negative probes", { C.default_params with C.probes = -1 });
+      ("zero beacons per domain", { C.default_params with C.per_domain = 0 });
+    ];
   let ts = Timeseries.create () in
   check Alcotest.bool "telemetry with multiple trials rejected" true
     (try

@@ -163,13 +163,27 @@ let test_stack_on_generated_topology () =
   check Alcotest.int "all stubs received" (List.length stubs) (List.length got);
   check Alcotest.int "no duplicates" 0 (Bgmp_fabric.duplicate_deliveries (Internet.fabric inet))
 
+(* Run [f] with the flight recorder streaming to a scratch file; return
+   its result and every record, so the protocols' notes can be checked. *)
+let recorded f =
+  let file = Filename.temp_file "core" ".jsonl" in
+  Recorder.enable ~sink:file ();
+  let x = Fun.protect ~finally:Recorder.disable f in
+  let records, _ = Recorder.load_jsonl file in
+  Sys.remove file;
+  (x, records)
+
+let notes records label = List.filter (fun r -> r.Recorder.r_label = label) records
+
 let test_trace_records_protocol_activity () =
   let topo = Gen.figure1 () in
-  let inet = setup topo in
-  ignore (get_address inet (dom topo "B"));
-  let tr = Internet.trace inet in
-  check Alcotest.bool "claims traced" true (Trace.find tr ~tag:"claim" <> []);
-  check Alcotest.bool "acquisitions traced" true (Trace.find tr ~tag:"acquired" <> [])
+  let (), records =
+    recorded (fun () ->
+        let inet = setup topo in
+        ignore (get_address inet (dom topo "B")))
+  in
+  check Alcotest.bool "claims recorded" true (notes records "note.claim" <> []);
+  check Alcotest.bool "acquisitions recorded" true (notes records "note.acquired" <> [])
 
 let test_masc_bgp_glue_withdraw_on_expiry () =
   (* A claim that lapses must disappear from every G-RIB. *)
@@ -322,7 +336,7 @@ let test_seeded_overlap_violation_detected () =
   in
   let before = Metrics.snapshot Metrics.default in
   Address_space.register (Masc_node.space_view node) ~owner:9999 forged;
-  let vs = Internet.check_invariants ~quiescent:false inet in
+  let vs, records = recorded (fun () -> Internet.check_invariants ~quiescent:false inet) in
   let v =
     match List.filter (fun v -> v.Invariant.inv = "masc-sibling-overlap") vs with
     | v :: _ -> v
@@ -338,10 +352,10 @@ let test_seeded_overlap_violation_detected () =
   check Alcotest.bool "counted in invariant.violations" true (delta "invariant.violations" >= 1);
   check Alcotest.bool "counted under the predicate's name" true
     (delta "invariant.violations.masc-sibling-overlap" >= 1);
-  check Alcotest.bool "recorded as a trace entry on the same chain" true
+  check Alcotest.bool "recorded as a note on the same chain" true
     (List.exists
-       (fun e -> e.Trace.trace_id = Some claim.Masc_node.claim_span.Span.trace_id)
-       (Trace.find (Internet.trace inet) ~tag:"violation"));
+       (fun r -> r.Recorder.r_trace_id = Some claim.Masc_node.claim_span.Span.trace_id)
+       (notes records "note.violation"));
   (* Removing the forged claim repairs the stack. *)
   Address_space.unregister (Masc_node.space_view node) forged;
   check Alcotest.int "clean after repair" 0
@@ -373,38 +387,41 @@ let test_partition_collision_resolves_with_full_chain () =
         };
     }
   in
-  let inet = Internet.create ~config topo in
-  Masc_network.partition (Internet.masc_network inet) p0 p1;
-  Internet.start inet;
-  Internet.run_for inet (Time.hours 1.0);
-  (* Claims are demand-driven: a group allocated at each top makes both
-     claim out of 224/4 blind to each other (and keeps both claims
-     renewing later).  First-fit placement lands them on the same
-     sub-prefix, so the overlap invariant must expose the conflict
-     while the partition lasts. *)
-  let alloc = get_address inet p0 in
-  ignore (get_address inet p1);
-  Internet.run_for inet (Time.hours 1.0);
-  let during = Internet.check_invariants ~quiescent:false inet in
-  check Alcotest.bool "overlap visible during the partition" true
-    (List.exists (fun v -> v.Invariant.inv = "masc-sibling-overlap") during);
-  Masc_network.heal (Internet.masc_network inet) p0 p1;
-  Internet.run_for inet (Time.days 2.0);
-  let tr = Internet.trace inet in
-  check Alcotest.bool "a collision was fought" true (Trace.find tr ~tag:"collision-sent" <> []);
-  check Alcotest.bool "the loser yielded" true (Trace.find tr ~tag:"collision-yield" <> []);
-  check Alcotest.int "overlap resolved after healing" 0
-    (List.length
-       (List.filter
-          (fun v -> v.Invariant.inv = "masc-sibling-overlap")
-          (Internet.check_invariants ~quiescent:false inet)));
-  (* The surviving allocation still roots P0's group; join from the far
-     side and stitch the chain. *)
+  let (inet, alloc), records =
+    recorded (fun () ->
+        let inet = Internet.create ~config topo in
+        Masc_network.partition (Internet.masc_network inet) p0 p1;
+        Internet.start inet;
+        Internet.run_for inet (Time.hours 1.0);
+        (* Claims are demand-driven: a group allocated at each top makes both
+           claim out of 224/4 blind to each other (and keeps both claims
+           renewing later).  First-fit placement lands them on the same
+           sub-prefix, so the overlap invariant must expose the conflict
+           while the partition lasts. *)
+        let alloc = get_address inet p0 in
+        ignore (get_address inet p1);
+        Internet.run_for inet (Time.hours 1.0);
+        let during = Internet.check_invariants ~quiescent:false inet in
+        check Alcotest.bool "overlap visible during the partition" true
+          (List.exists (fun v -> v.Invariant.inv = "masc-sibling-overlap") during);
+        Masc_network.heal (Internet.masc_network inet) p0 p1;
+        Internet.run_for inet (Time.days 2.0);
+        check Alcotest.int "overlap resolved after healing" 0
+          (List.length
+             (List.filter
+                (fun v -> v.Invariant.inv = "masc-sibling-overlap")
+                (Internet.check_invariants ~quiescent:false inet)));
+        (* The surviving allocation still roots P0's group; join from the far
+           side and stitch the chain. *)
+        check (Alcotest.option Alcotest.int) "group still rooted at the winner" (Some p0)
+          (Internet.root_domain_of inet alloc.Maas.address);
+        Internet.join inet ~host:(Host_ref.make c1 0) ~group:alloc.Maas.address;
+        Internet.run_for inet (Time.minutes 30.0);
+        (inet, alloc))
+  in
+  check Alcotest.bool "a collision was fought" true (notes records "note.collision-sent" <> []);
+  check Alcotest.bool "the loser yielded" true (notes records "note.collision-yield" <> []);
   let g = alloc.Maas.address in
-  check (Alcotest.option Alcotest.int) "group still rooted at the winner" (Some p0)
-    (Internet.root_domain_of inet g);
-  Internet.join inet ~host:(Host_ref.make c1 0) ~group:g;
-  Internet.run_for inet (Time.minutes 30.0);
   let id =
     match Speaker.lookup (Internet.speaker inet p0) g with
     | Some r -> (
@@ -413,15 +430,18 @@ let test_partition_collision_resolves_with_full_chain () =
         | None -> Alcotest.fail "covering route carries no span")
     | None -> Alcotest.fail "no covering route for the group"
   in
-  let chain = Trace_report.chain (Trace.entries tr) ~id in
-  let tags = List.map (fun e -> e.Trace.tag) chain in
+  let chain = Trace_report.chain records ~id in
+  let labels = List.map (fun r -> r.Recorder.r_label) chain in
   List.iter
-    (fun t -> check Alcotest.bool (t ^ " on the chain") true (List.mem t tags))
-    [ "claim"; "acquired"; "collision-sent"; "grib-update"; "join" ];
+    (fun t -> check Alcotest.bool (t ^ " on the chain") true (List.mem t labels))
+    [ "note.claim"; "note.acquired"; "note.collision-sent"; "note.grib-update"; "note.join" ];
+  (* The chain interleaves the narrative with the messages that carried
+     it: the join travelled as BGMP messages on the same span ids. *)
+  check Alcotest.bool "join messages on the chain" true (List.mem "net.recv.bgmp" labels);
   (* And the [trace] subcommand's renderer reconstructs the same story. *)
   let buf = Buffer.create 1024 in
   let ppf = Format.formatter_of_buffer buf in
-  Trace_report.pp_chain_for ppf (Trace.entries tr) ~id;
+  Trace_report.pp_chain_for ppf records ~id;
   Format.pp_print_flush ppf ();
   let out = Buffer.contents buf in
   let mem needle =

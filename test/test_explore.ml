@@ -218,7 +218,6 @@ let test_ledger_roundtrip () =
       min_faults = Some 1;
       shrink_steps = Some 9;
       repro_recording = Some "repro/cex-3.recording.jsonl";
-      repro_trace = None;
     }
   in
   (match Ledger.of_json (Ledger.to_json e) with

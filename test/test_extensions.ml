@@ -176,7 +176,8 @@ let test_remote_address_allocation () =
   Internet.run_for inet (Time.hours 2.0);
   let dom name = Option.get (Topo.find_by_name topo name) in
   (* Initiator in G knows the dominant source will be in B: allocate
-     from B so the tree roots there. *)
+     from B so the tree roots there.  The recorder's ring keeps the
+     newest records, so the allocation note is still in it. *)
   let rec get tries =
     match Internet.request_address_in inet ~initiator:(dom "G") ~root:(dom "B") with
     | Some a -> a
@@ -187,11 +188,15 @@ let test_remote_address_allocation () =
           get (tries + 1)
         end
   in
-  let alloc = get 0 in
+  let alloc =
+    Fun.protect ~finally:Recorder.disable (fun () ->
+        Recorder.enable ();
+        get 0)
+  in
   check (Alcotest.option Alcotest.int) "rooted at B, not at the initiator" (Some (dom "B"))
     (Internet.root_domain_of inet alloc.Maas.address);
-  check Alcotest.bool "traced" true
-    (Trace.find (Internet.trace inet) ~tag:"remote-alloc" <> [])
+  check Alcotest.bool "recorded" true
+    (List.exists (fun r -> r.Recorder.r_label = "note.remote-alloc") (Recorder.recent ()))
 
 (* --- multi-provider reparenting ------------------------------------------ *)
 

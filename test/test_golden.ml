@@ -257,6 +257,68 @@ let check_explore_cli () =
       check Alcotest.bool "triage renders the causal chain" true
         (contains "causal chain" triage))
 
+(* Run the CLI with stdout and stderr captured; returns the exit code
+   and both outputs. *)
+let run_cli args =
+  let out = Filename.temp_file "cli" ".out" and err = Filename.temp_file "cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ out; err ])
+    (fun () ->
+      let rc =
+        Sys.command
+          (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote exe) args (Filename.quote out)
+             (Filename.quote err))
+      in
+      (rc, read_file out, read_file err))
+
+(* The fingerprint contract: folding the protocols' narrative into the
+   recorder adds a [note] prefix and leaves every other prefix line as
+   it was before the narrative joined the stream. *)
+let check_demo_fingerprint_prefixes () =
+  let rc, _, err = run_cli "demo --fingerprint" in
+  check Alcotest.int "demo --fingerprint: exit code" 0 rc;
+  let prefix_lines =
+    List.filter (fun l -> String.length l > 2 && String.sub l 0 2 = "  ") (String.split_on_char '\n' err)
+  in
+  check (Alcotest.list Alcotest.string) "prefix lines other than note are unchanged"
+    [ "  masc     7ca181505af48f77 over 9 records"; "  net      05ff367eb316a550 over 120 records" ]
+    (List.filter (fun l -> not (contains "  note " l)) prefix_lines);
+  check Alcotest.bool "the narrative adds a note line" true
+    (List.exists (contains "  note ") prefix_lines)
+
+(* One stream: a demo recording holds the claim's narrative, and the
+   [trace] subcommand renders it with details, interleaved with the
+   messages of the same chain. *)
+let check_trace_from_recording () =
+  let rec_file = Filename.temp_file "demo" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove rec_file with Sys_error _ -> ())
+    (fun () ->
+      let rc, _, _ = run_cli (Printf.sprintf "demo --record=%s" (Filename.quote rec_file)) in
+      check Alcotest.int "demo --record: exit code" 0 rc;
+      let rc, out, _ =
+        run_cli (Printf.sprintf "trace %s --id claim:0:224.0.0.0/24" (Filename.quote rec_file))
+      in
+      check Alcotest.int "trace --id: exit code" 0 rc;
+      let lines = String.split_on_char '\n' out in
+      let count needle = List.length (List.filter (contains needle) lines) in
+      check Alcotest.int "the claim note" 1 (count "note.claim         224.0.0.0/24 (new)");
+      check Alcotest.int "the acquisition note" 1 (count "note.acquired      224.0.0.0/24");
+      check Alcotest.int "every G-RIB update with its detail" 7
+        (count "note.grib-update   224.0.0.0/24 installed");
+      check Alcotest.bool "interleaved with the messages that carried it" true
+        (count "net.recv.bgp" > 0))
+
+(* Bad beacon inputs are usage errors: a reason on stderr, exit 2. *)
+let check_beacon_rejects_bad_inputs () =
+  List.iter
+    (fun args ->
+      let rc, _, err = run_cli ("beacon " ^ args) in
+      check Alcotest.int ("beacon " ^ args ^ ": exit code") 2 rc;
+      check Alcotest.bool ("beacon " ^ args ^ ": reason on stderr") true
+        (String.length err > 8 && String.sub err 0 8 = "beacon: "))
+    [ "--probes 0 --churn"; "--per-domain=0"; "--probes=-1" ]
+
 (* End-to-end diff: two demo recordings that differ only in --loss must
    diverge, and the report must say where. *)
 let check_record_diff () =
@@ -375,6 +437,9 @@ let suite =
         ~args:"beacon --domains 8 --per-domain 1 --probes 2 --trials 3 --loss 0.05"
         ~jobs:[ 1; 4; 8 ] );
     ("report --diff on demo recordings", `Quick, check_record_diff);
+    ("demo fingerprint prefixes unchanged", `Quick, check_demo_fingerprint_prefixes);
+    ("trace renders a recorded claim chain", `Quick, check_trace_from_recording);
+    ("beacon rejects bad inputs", `Quick, check_beacon_rejects_bad_inputs);
     ( "fig4-modern --check-invariants leaves stdout unchanged",
       `Quick,
       check_invariants_stdout_invariant

@@ -256,41 +256,45 @@ let test_engine_monitor () =
   check Alcotest.int "no further quiescent fires" 1 !quiesces
 
 let test_trace_report_chains_and_latencies () =
-  let entry time tag span parent =
+  let record r_time r_label span parent =
     {
-      Trace.time;
-      actor = "a";
-      tag;
-      detail = tag;
-      trace_id = Some "claim:1:224.0.0.0/24";
-      span = Some span;
-      parent;
+      Recorder.seq = 0;
+      r_time;
+      r_subject = "a";
+      r_label;
+      r_detail = "detail of " ^ r_label;
+      r_trace_id = Some "claim:1:224.0.0.0/24";
+      r_span = Some span;
+      r_parent = parent;
     }
   in
-  let other = { (entry 5.0 "grib-update" 0 None) with Trace.trace_id = Some "group:224.0.0.1" } in
-  let unchained = { (entry 6.0 "noise" 0 None) with Trace.trace_id = None; span = None } in
-  let entries =
-    [ entry 1.0 "claim" 0 None; other; entry 4.0 "acquired" 1 (Some 0); unchained ]
+  let other =
+    { (record 5.0 "note.grib-update" 0 None) with Recorder.r_trace_id = Some "group:224.0.0.1" }
+  in
+  let unchained = { (record 6.0 "noise" 0 None) with Recorder.r_trace_id = None; r_span = None } in
+  let records =
+    [ record 1.0 "note.claim" 0 None; other; record 4.0 "note.acquired" 1 (Some 0); unchained ]
   in
   check (Alcotest.list Alcotest.string) "chain ids in first-appearance order"
     [ "claim:1:224.0.0.0/24"; "group:224.0.0.1" ]
-    (Trace_report.chain_ids entries);
-  let chain = Trace_report.chain entries ~id:"claim:1:224.0.0.0/24" in
-  check (Alcotest.list Alcotest.string) "chain selects and time-orders" [ "claim"; "acquired" ]
-    (List.map (fun e -> e.Trace.tag) chain);
+    (Trace_report.chain_ids records);
+  let chain = Trace_report.chain records ~id:"claim:1:224.0.0.0/24" in
+  check (Alcotest.list Alcotest.string) "chain selects and time-orders"
+    [ "note.claim"; "note.acquired" ]
+    (List.map (fun e -> e.Recorder.r_label) chain);
   check Alcotest.string "kind of id" "claim" (Trace_report.kind_of_id "claim:1:224.0.0.0/24");
-  (match Trace_report.latencies entries with
+  (match Trace_report.latencies records with
   | [ c; g ] ->
       check Alcotest.string "claim kind first" "claim" c.Trace_report.kind;
       check Alcotest.int "one claim chain" 1 c.Trace_report.chains;
       check (Alcotest.float 1e-9) "end-to-end duration" 3.0 c.Trace_report.max_s;
       check Alcotest.string "group kind second" "group" g.Trace_report.kind;
-      check (Alcotest.float 1e-9) "single-entry chain has zero latency" 0.0 g.Trace_report.max_s
+      check (Alcotest.float 1e-9) "single-record chain has zero latency" 0.0 g.Trace_report.max_s
   | l -> Alcotest.fail (Printf.sprintf "expected two latency rows, got %d" (List.length l)));
   (* The renderer indents children under parents and keeps span refs. *)
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
-  Trace_report.pp_chain_for ppf entries ~id:"claim:1:224.0.0.0/24";
+  Trace_report.pp_chain_for ppf records ~id:"claim:1:224.0.0.0/24";
   Format.pp_print_flush ppf ();
   let out = Buffer.contents buf in
   let mem needle =
@@ -299,69 +303,55 @@ let test_trace_report_chains_and_latencies () =
     go 0
   in
   check Alcotest.bool "header names the chain" true (mem "claim:1:224.0.0.0/24");
+  check Alcotest.bool "detail rendered" true (mem "detail of note.acquired");
   check Alcotest.bool "root span rendered" true (mem "(#0)");
   check Alcotest.bool "child span ref rendered" true (mem "(#1<-0)")
 
+(* Narrative notes ride the flight recorder; each test leaves it off. *)
+let recording f = Fun.protect ~finally:Recorder.disable f
+
 let test_trace_basics () =
-  let tr = Trace.create () in
-  Trace.record tr ~time:1.0 ~actor:"x" ~tag:"join" "detail-1";
-  Trace.record tr ~time:2.0 ~actor:"y" ~tag:"claim" "detail-2";
-  Trace.record tr ~time:3.0 ~actor:"x" ~tag:"join" "detail-3";
-  check Alcotest.int "length" 3 (Trace.length tr);
-  check Alcotest.int "find by tag" 2 (List.length (Trace.find tr ~tag:"join"));
-  let entries = Trace.entries tr in
-  check Alcotest.string "oldest first" "detail-1" (List.hd entries).Trace.detail
+  recording (fun () ->
+      Recorder.enable ();
+      Recorder.record ~time:1.0 ~label:"note.join" ~subject:"x" ~detail:"detail-1" ();
+      Recorder.record ~time:2.0 ~label:"note.claim" ~subject:"y" ~detail:"detail-2" ();
+      Recorder.record ~time:3.0 ~label:"note.join" ~subject:"x" ~detail:"detail-3" ();
+      check Alcotest.int "length" 3 (Recorder.records ());
+      let recs = Recorder.recent () in
+      check Alcotest.int "find by label" 2
+        (List.length (List.filter (fun r -> r.Recorder.r_label = "note.join") recs));
+      check Alcotest.string "oldest first" "detail-1" (List.hd recs).Recorder.r_detail)
 
 let test_trace_disabled_drops () =
-  let tr = Trace.create () in
-  Trace.set_enabled tr false;
-  Trace.record tr ~time:1.0 ~actor:"x" ~tag:"t" "dropped";
-  check Alcotest.int "nothing recorded" 0 (Trace.length tr);
-  Trace.set_enabled tr true;
-  Trace.recordf tr ~time:2.0 ~actor:"x" ~tag:"t" "kept %d" 42;
-  check Alcotest.int "recorded again" 1 (Trace.length tr);
-  check Alcotest.string "formatted" "kept 42" (List.hd (Trace.entries tr)).Trace.detail
+  recording (fun () ->
+      Recorder.enable ();
+      Recorder.disable ();
+      Recorder.recordf ~time:1.0 ~label:"note.t" ~subject:"x" "dropped";
+      check Alcotest.int "nothing recorded" 0 (Recorder.records ());
+      Recorder.enable ();
+      Recorder.recordf ~time:2.0 ~label:"note.t" ~subject:"x" "kept %d" 42;
+      check Alcotest.int "recorded again" 1 (Recorder.records ());
+      check Alcotest.string "formatted" "kept 42" (List.hd (Recorder.recent ())).Recorder.r_detail)
 
 let test_trace_disabled_skips_formatting () =
   (* The disabled path must consume the format arguments without running
      any user formatting code: a %t printer acts as the witness. *)
-  let tr = Trace.create () in
-  let formatted = ref false in
-  let witness ppf =
-    formatted := true;
-    Format.pp_print_string ppf "boom"
-  in
-  Trace.set_enabled tr false;
-  Trace.recordf tr ~time:1.0 ~actor:"x" ~tag:"t" "value %t" witness;
-  check Alcotest.bool "formatter not invoked while disabled" false !formatted;
-  check Alcotest.int "nothing recorded" 0 (Trace.length tr);
-  Trace.set_enabled tr true;
-  Trace.recordf tr ~time:2.0 ~actor:"x" ~tag:"t" "value %t" witness;
-  check Alcotest.bool "formatter invoked when enabled" true !formatted;
-  check Alcotest.string "formatted detail" "value boom"
-    (List.hd (Trace.entries tr)).Trace.detail
-
-let test_trace_null_sink_counts () =
-  let tr = Trace.create ~sink:Trace.Null () in
-  Trace.record tr ~time:1.0 ~actor:"a" ~tag:"t" "x";
-  Trace.record tr ~time:2.0 ~actor:"a" ~tag:"t" "y";
-  check Alcotest.int "records counted" 2 (Trace.length tr);
-  check Alcotest.int "nothing retained" 0 (List.length (Trace.entries tr))
-
-let test_trace_set_sink_switches () =
-  let tr = Trace.create () in
-  Trace.record tr ~time:1.0 ~actor:"a" ~tag:"t" "kept-nowhere";
-  Trace.set_sink tr (Trace.Ring 2);
-  check Alcotest.bool "sink reports ring" true (Trace.sink tr = Trace.Ring 2);
-  check Alcotest.int "old entries dropped" 0 (List.length (Trace.entries tr));
-  Trace.record tr ~time:2.0 ~actor:"a" ~tag:"t" "in-ring";
-  check Alcotest.int "ring records" 1 (List.length (Trace.entries tr))
-
-let test_trace_clear () =
-  let tr = Trace.create () in
-  Trace.record tr ~time:1.0 ~actor:"a" ~tag:"t" "x";
-  Trace.clear tr;
-  check Alcotest.int "cleared" 0 (Trace.length tr)
+  recording (fun () ->
+      let formatted = ref false in
+      let witness ppf =
+        formatted := true;
+        Format.pp_print_string ppf "boom"
+      in
+      Recorder.enable ();
+      Recorder.disable ();
+      Recorder.recordf ~time:1.0 ~label:"note.t" ~subject:"x" "value %t" witness;
+      check Alcotest.bool "formatter not invoked while disabled" false !formatted;
+      check Alcotest.int "nothing recorded" 0 (Recorder.records ());
+      Recorder.enable ();
+      Recorder.recordf ~time:2.0 ~label:"note.t" ~subject:"x" "value %t" witness;
+      check Alcotest.bool "formatter invoked when enabled" true !formatted;
+      check Alcotest.string "formatted detail" "value boom"
+        (List.hd (Recorder.recent ())).Recorder.r_detail)
 
 let prop_engine_any_schedule_order_fires_sorted =
   QCheck.Test.make ~name:"events fire in nondecreasing time order" ~count:100
@@ -399,8 +389,5 @@ let suite =
     ("trace basics", `Quick, test_trace_basics);
     ("trace disabled drops", `Quick, test_trace_disabled_drops);
     ("trace disabled skips formatting", `Quick, test_trace_disabled_skips_formatting);
-    ("trace null sink counts", `Quick, test_trace_null_sink_counts);
-    ("trace set_sink switches", `Quick, test_trace_set_sink_switches);
-    ("trace clear", `Quick, test_trace_clear);
     QCheck_alcotest.to_alcotest prop_engine_any_schedule_order_fires_sorted;
   ]
