@@ -674,6 +674,36 @@ let test_counted_loaders_report_malformed () =
       check Alcotest.int "prof rows" 0 (List.length rows);
       check Alcotest.int "prof bad lines" 1 bad_prof)
 
+(* The shared line codec: every value kind the artifacts use, strict
+   rejection of truncated or trailing input, and accessor failures
+   surfacing as [None] rather than exceptions. *)
+let test_json_line_codec () =
+  let open Json_line in
+  let line =
+    obj
+      [
+        ("s", quote "a\"b\\c\n\x01");
+        ("n", float 0.1);
+        ("l", list quote [ "x"; "y" ]);
+        ("o", obj [ ("k", "-2.5e-3") ]);
+        ("z", opt string_of_int None);
+      ]
+  in
+  (match parse line with
+  | Some v ->
+      check Alcotest.string "string escapes round-trip" "a\"b\\c\n\x01" (str v "s");
+      check (Alcotest.float 0.0) "float round-trips exactly" 0.1 (num v "n");
+      check (Alcotest.list Alcotest.string) "string list" [ "x"; "y" ] (strs v "l");
+      check (Alcotest.option (Alcotest.float 0.0)) "nested object" (Some (-2.5e-3))
+        (Option.bind (field v "o") (fun o -> optional num o "k"));
+      check (Alcotest.option Alcotest.int) "null reads as absent" None (optional int v "z")
+  | None -> Alcotest.fail "codec output did not parse");
+  List.iter
+    (fun bad -> check Alcotest.bool ("rejects " ^ bad) true (parse bad = None))
+    [ String.sub line 0 (String.length line - 1); line ^ " x"; {|{"a": tru}|}; {|{"a" 1}|}; "" ];
+  check Alcotest.bool "missing field decodes to None" true
+    (decode (fun o -> str o "absent") line = None)
+
 let suite =
   [
     ("counter basics", `Quick, test_counter_basics);
@@ -713,4 +743,5 @@ let suite =
       test_recorder_capture_merge_matches_sequential );
     ("span with_minter scoping", `Quick, test_span_with_minter_scoping);
     ("counted loaders report malformed lines", `Quick, test_counted_loaders_report_malformed);
+    ("json line codec", `Quick, test_json_line_codec);
   ]
