@@ -1182,9 +1182,30 @@ let check_arg =
 
 let days_arg n = Arg.(value & opt int n & info [ "days" ] ~doc:"Simulated days.")
 
+(* [conv] narrowed to the values [ok] accepts: anything else is a usage
+   error naming the option (exit 124), not an [Invalid_argument] from
+   deep inside the run. *)
+let checked conv ~ok ~expect =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expect))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+(* The power-law generator attaches each new node to 2 existing ones,
+   so it needs at least 3. *)
+let nodes_arg n =
+  Arg.(
+    value
+    & opt (checked int ~ok:(fun n -> n >= 3) ~expect:"an integer >= 3") n
+    & info [ "nodes" ] ~doc:"Topology size.")
+
 let loss_arg =
   Arg.(
-    value & opt float 0.0
+    value
+    & opt (checked float ~ok:(fun p -> p >= 0.0 && p < 1.0) ~expect:"a probability in [0, 1)") 0.0
     & info [ "loss" ] ~docv:"P"
         ~doc:
           "Per-message drop probability on every inter-domain channel, applied to all three \
@@ -1209,7 +1230,6 @@ let fig2_cmd =
 
 let fig4_cmd =
   let doc = "Reproduce Figure 4: path-length overhead of shared trees vs shortest-path trees." in
-  let nodes = Arg.(value & opt int 3326 & info [ "nodes" ] ~doc:"Topology size.") in
   let trials = Arg.(value & opt int 20 & info [ "trials" ] ~doc:"Groups per size.") in
   let topology =
     Arg.(
@@ -1223,7 +1243,8 @@ let fig4_cmd =
       const (fun obs jobs check summary nodes trials topology seed ->
           Par.set_jobs jobs;
           with_obs obs (run_fig4 check summary nodes trials topology seed))
-      $ obs_term $ jobs_arg $ check_arg $ summary_flag $ nodes $ trials $ topology $ seed_arg)
+      $ obs_term $ jobs_arg $ check_arg $ summary_flag $ nodes_arg 3326 $ trials $ topology
+      $ seed_arg)
 
 let fig4_modern_cmd =
   let doc =
@@ -1283,14 +1304,13 @@ let ablate_threshold_cmd =
       $ obs_basic_term $ jobs_arg $ check_arg $ days_arg 400 $ seed_arg)
 
 let ablate_root_cmd =
-  let nodes = Arg.(value & opt int 1000 & info [ "nodes" ] ~doc:"Topology size.") in
   let trials = Arg.(value & opt int 20 & info [ "trials" ] ~doc:"Trials.") in
   Cmd.v
     (Cmd.info "ablate-root" ~doc:"A4: root-domain placement sensitivity for tree quality.")
     Term.(
       const (fun obs check nodes trials seed ->
           with_obs obs (fun _ -> run_ablate_root check nodes trials seed))
-      $ obs_basic_term $ check_arg $ nodes $ trials $ seed_arg)
+      $ obs_basic_term $ check_arg $ nodes_arg 1000 $ trials $ seed_arg)
 
 let ablate_kampai_cmd =
   Cmd.v
@@ -1310,7 +1330,6 @@ let ablate_claim_cmd =
       $ obs_basic_term $ check_arg $ seed_arg)
 
 let baselines_cmd =
-  let nodes = Arg.(value & opt int 1000 & info [ "nodes" ] ~doc:"Topology size.") in
   let trials = Arg.(value & opt int 15 & info [ "trials" ] ~doc:"Trials per group size.") in
   Cmd.v
     (Cmd.info "baselines" ~doc:"Related-work baselines (HPIM, HDVMRP) vs BGMP trees.")
@@ -1318,7 +1337,7 @@ let baselines_cmd =
       const (fun obs jobs check nodes trials seed ->
           Par.set_jobs jobs;
           with_obs obs (fun _ -> run_baselines check nodes trials seed))
-      $ obs_basic_term $ jobs_arg $ check_arg $ nodes $ trials $ seed_arg)
+      $ obs_basic_term $ jobs_arg $ check_arg $ nodes_arg 1000 $ trials $ seed_arg)
 
 let dot_cmd =
   Cmd.v

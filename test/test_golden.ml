@@ -319,6 +319,24 @@ let check_beacon_rejects_bad_inputs () =
         (String.length err > 8 && String.sub err 0 8 = "beacon: "))
     [ "--probes 0 --churn"; "--per-domain=0"; "--probes=-1" ]
 
+(* Out-of-range --loss and --nodes are usage errors (cmdliner's exit
+   124, the option named on stderr), never an internal error (125) from
+   Net.create or the topology generator. *)
+let check_cli_rejects_out_of_range () =
+  List.iter
+    (fun (args, option) ->
+      let rc, _, err = run_cli args in
+      check Alcotest.int (args ^ ": exit code") 124 rc;
+      check Alcotest.bool (args ^ ": names " ^ option) true (contains option err))
+    [
+      ("demo --loss 2", "--loss");
+      ("soak --loss 1 --steps 5", "--loss");
+      ("dot --loss 1", "--loss");
+      ("fig4 --nodes 0", "--nodes");
+      ("ablate-root --nodes 1", "--nodes");
+      ("baselines --nodes 0", "--nodes");
+    ]
+
 (* End-to-end diff: two demo recordings that differ only in --loss must
    diverge, and the report must say where. *)
 let check_record_diff () =
@@ -440,6 +458,7 @@ let suite =
     ("demo fingerprint prefixes unchanged", `Quick, check_demo_fingerprint_prefixes);
     ("trace renders a recorded claim chain", `Quick, check_trace_from_recording);
     ("beacon rejects bad inputs", `Quick, check_beacon_rejects_bad_inputs);
+    ("cli rejects out-of-range loss and nodes", `Quick, check_cli_rejects_out_of_range);
     ( "fig4-modern --check-invariants leaves stdout unchanged",
       `Quick,
       check_invariants_stdout_invariant
