@@ -166,7 +166,6 @@ let fig4_summary (r : Tree_experiment.result) =
      4.5x; hybrid avg <1.2x / max 4x)@."
 
 let run_fig4 check summary_only nodes trials topology seed sampling =
-  let topology = if topology = "transit-stub" then `Transit_stub else `Power_law in
   let p =
     {
       Tree_experiment.default_params with
@@ -1077,6 +1076,20 @@ let run_explore budget max_faults seed ledger repro_dir =
 
 open Cmdliner
 
+(* [conv] narrowed to the values [ok] accepts: anything else is a usage
+   error naming the option (exit 124), not an [Invalid_argument] from
+   deep inside the run. *)
+let checked conv ~ok ~expect =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expect))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = checked Arg.int ~ok:(fun n -> n >= 1) ~expect:"an integer >= 1"
+
 let summary_flag =
   Arg.(value & flag & info [ "summary" ] ~doc:"Print only the summary, not the data series.")
 
@@ -1104,7 +1117,7 @@ let profile_arg =
 let sample_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some (checked float ~ok:(fun x -> x > 0.0) ~expect:"a positive number")) None
     & info [ "sample" ] ~docv:"EVERY"
         ~doc:
           "Record sim-time telemetry series (pending events, per-protocol in-flight messages, \
@@ -1182,24 +1195,12 @@ let check_arg =
 
 let days_arg n = Arg.(value & opt int n & info [ "days" ] ~doc:"Simulated days.")
 
-(* [conv] narrowed to the values [ok] accepts: anything else is a usage
-   error naming the option (exit 124), not an [Invalid_argument] from
-   deep inside the run. *)
-let checked conv ~ok ~expect =
-  let parse s =
-    match Arg.conv_parser conv s with
-    | Ok v when ok v -> Ok v
-    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expect))
-    | Error _ as e -> e
-  in
-  Arg.conv (parse, Arg.conv_printer conv)
-
 (* The power-law generator attaches each new node to 2 existing ones,
    so it needs at least 3. *)
-let nodes_arg n =
+let nodes_arg ?(min = 3) n =
   Arg.(
     value
-    & opt (checked int ~ok:(fun n -> n >= 3) ~expect:"an integer >= 3") n
+    & opt (checked int ~ok:(fun n -> n >= min) ~expect:(Printf.sprintf "an integer >= %d" min)) n
     & info [ "nodes" ] ~doc:"Topology size.")
 
 let loss_arg =
@@ -1234,7 +1235,7 @@ let fig4_cmd =
   let topology =
     Arg.(
       value
-      & opt string "power-law"
+      & opt (enum [ ("power-law", `Power_law); ("transit-stub", `Transit_stub) ]) `Power_law
       & info [ "topology" ] ~doc:"Topology family: power-law or transit-stub.")
   in
   Cmd.v
@@ -1254,8 +1255,12 @@ let fig4_modern_cmd =
   let domains =
     Arg.(value & opt int 2000 & info [ "domains" ] ~doc:"Target domain count (transit-stub).")
   in
-  let groups = Arg.(value & opt int 200 & info [ "groups" ] ~doc:"Group-id space per trial.") in
-  let roots = Arg.(value & opt int 8 & info [ "roots" ] ~doc:"Distinct tree-root domains.") in
+  let groups =
+    Arg.(value & opt positive_int 200 & info [ "groups" ] ~doc:"Group-id space per trial.")
+  in
+  let roots =
+    Arg.(value & opt positive_int 8 & info [ "roots" ] ~doc:"Distinct tree-root domains.")
+  in
   let events = Arg.(value & opt int 4000 & info [ "events" ] ~doc:"Membership events per trial.") in
   let link_every =
     Arg.(
@@ -1263,7 +1268,9 @@ let fig4_modern_cmd =
       & info [ "link-every" ]
           ~doc:"One peer-link failure/restore per this many membership events (0 disables).")
   in
-  let trials = Arg.(value & opt int 2 & info [ "trials" ] ~doc:"Independent trials (averaged).") in
+  let trials =
+    Arg.(value & opt positive_int 2 & info [ "trials" ] ~doc:"Independent trials (averaged).")
+  in
   let scratch =
     Arg.(
       value & flag
@@ -1329,6 +1336,8 @@ let ablate_claim_cmd =
       const (fun obs check seed -> with_obs obs (fun _ -> run_ablate_claim check seed))
       $ obs_basic_term $ check_arg $ seed_arg)
 
+(* HPIM's largest group draws 500 receivers plus a source from the
+   domains without replacement, so the topology needs at least 501. *)
 let baselines_cmd =
   let trials = Arg.(value & opt int 15 & info [ "trials" ] ~doc:"Trials per group size.") in
   Cmd.v
@@ -1337,7 +1346,7 @@ let baselines_cmd =
       const (fun obs jobs check nodes trials seed ->
           Par.set_jobs jobs;
           with_obs obs (fun _ -> run_baselines check nodes trials seed))
-      $ obs_basic_term $ jobs_arg $ check_arg $ nodes_arg 1000 $ trials $ seed_arg)
+      $ obs_basic_term $ jobs_arg $ check_arg $ nodes_arg ~min:501 1000 $ trials $ seed_arg)
 
 let dot_cmd =
   Cmd.v

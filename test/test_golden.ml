@@ -319,9 +319,9 @@ let check_beacon_rejects_bad_inputs () =
         (String.length err > 8 && String.sub err 0 8 = "beacon: "))
     [ "--probes 0 --churn"; "--per-domain=0"; "--probes=-1" ]
 
-(* Out-of-range --loss and --nodes are usage errors (cmdliner's exit
-   124, the option named on stderr), never an internal error (125) from
-   Net.create or the topology generator. *)
+(* Out-of-range or unknown option values are usage errors (cmdliner's
+   exit 124, the option named on stderr), never an internal error (125)
+   from deep inside the run, nor silently replaced by a default. *)
 let check_cli_rejects_out_of_range () =
   List.iter
     (fun (args, option) ->
@@ -335,6 +335,12 @@ let check_cli_rejects_out_of_range () =
       ("fig4 --nodes 0", "--nodes");
       ("ablate-root --nodes 1", "--nodes");
       ("baselines --nodes 0", "--nodes");
+      ("baselines --nodes 500", "--nodes");
+      ("fig4-modern --roots 0", "--roots");
+      ("fig4-modern --groups 0", "--groups");
+      ("fig4-modern --trials 0", "--trials");
+      ("demo --sample 0", "--sample");
+      ("fig4 --topology foo", "--topology");
     ]
 
 (* End-to-end diff: two demo recordings that differ only in --loss must
